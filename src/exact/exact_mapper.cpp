@@ -16,18 +16,16 @@
 #include <thread>
 #include <unordered_map>
 
-#include "arch/distances.hpp"
 #include "arch/subsets.hpp"
 #include "arch/swap_cost_cache.hpp"
 #include "arch/swap_costs.hpp"
 #include "exact/encoder.hpp"
 #include "exact/shard_executor.hpp"
+#include "exact/router.hpp"
 #include "exact/strategies.hpp"
-#include "exact/swap_synthesis.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/equivalence.hpp"
-#include "sim/linear_reversible.hpp"
 
 namespace qxmap::exact {
 
@@ -43,88 +41,43 @@ struct InstanceSolution {
   reason::Status status;
 };
 
-/// Rebuilds the physical circuit and the routing skeleton from a decoded
-/// model. Returns {mapped, skeleton, initial, final, swaps, reversed}.
-struct Reconstruction {
-  Circuit mapped;
-  Circuit skeleton;
-  std::vector<int> initial_layout;
-  std::vector<int> final_layout;
-  int swaps = 0;
-  int reversed = 0;
-};
-
-Reconstruction reconstruct(const Circuit& original, const arch::CouplingMap& cm,
-                           const InstanceSolution& best,
-                           const std::vector<std::size_t>& points) {
-  const int n = original.num_qubits();
-  const int m = cm.num_physical();
-  Reconstruction out{Circuit(m, original.name() + "/mapped"),
-                     Circuit(m, original.name() + "/routed-skeleton"),
-                     {},
-                     {},
-                     0,
-                     0};
-
+/// Rebuilds the route from a decoded model: the model's initial layout
+/// (lifted from subset-local to global physical qubits), then before each
+/// permutation point the SWAPs of the scheduled permutation.
+Router reconstruct(const Circuit& original, const arch::CouplingMap& cm,
+                   const InstanceSolution& best, const std::vector<std::size_t>& points) {
   const auto& subset = best.subset;
-  const auto& layouts = best.solution.layouts;
+  // The model's layout before CNOT k: logical j -> global physical qubit.
+  const auto model_layout = [&](std::size_t k) {
+    std::vector<int> layout;
+    for (const int local : best.solution.layouts[k]) {
+      layout.push_back(subset[static_cast<std::size_t>(local)]);
+    }
+    return layout;
+  };
 
-  // Current layout: logical j -> global physical qubit.
-  std::vector<int> cur(static_cast<std::size_t>(n));
-  for (int j = 0; j < n; ++j) {
-    cur[static_cast<std::size_t>(j)] =
-        subset[static_cast<std::size_t>(layouts[0][static_cast<std::size_t>(j)])];
-  }
-  out.initial_layout = cur;
-
+  Router route(original, cm, model_layout(0));
   std::size_t k = 0;          // CNOT index
   std::size_t point_idx = 0;  // index into points / point_perms
   for (const auto& g : original) {
-    if (g.kind == OpKind::Barrier) {
-      out.mapped.append(g);
-      continue;
-    }
-    if (g.is_nonunitary() || g.is_single_qubit()) {
-      // remapped() keeps params and any classical guard.
-      out.mapped.append(g.remapped(cur[static_cast<std::size_t>(g.target)]));
-      continue;
-    }
-    // CNOT: first apply the permutation scheduled before this gate, if any.
-    if (point_idx < points.size() && points[point_idx] == k) {
-      const Permutation& pi = best.solution.point_perms[point_idx];
-      for (const auto& [a, b] : best.table->swap_sequence(pi)) {
-        const int ga = subset[static_cast<std::size_t>(a)];
-        const int gb = subset[static_cast<std::size_t>(b)];
-        append_swap_realisation(out.mapped, cm, ga, gb);
-        out.skeleton.swap(ga, gb);
-        ++out.swaps;
-        for (auto& p : cur) {
-          if (p == ga) {
-            p = gb;
-          } else if (p == gb) {
-            p = ga;
-          }
+    if (g.is_cnot()) {
+      // First apply the permutation scheduled before this gate, if any.
+      if (point_idx < points.size() && points[point_idx] == k) {
+        const Permutation& pi = best.solution.point_perms[point_idx];
+        for (const auto& [a, b] : best.table->swap_sequence(pi)) {
+          route.swap(subset[static_cast<std::size_t>(a)], subset[static_cast<std::size_t>(b)]);
         }
+        ++point_idx;
       }
-      ++point_idx;
-    }
-    // Cross-check the walked layout against the model's x variables.
-    for (int j = 0; j < n; ++j) {
-      const int expected =
-          subset[static_cast<std::size_t>(layouts[k][static_cast<std::size_t>(j)])];
-      if (cur[static_cast<std::size_t>(j)] != expected) {
+      // Cross-check the walked layout against the model's x variables.
+      if (route.layout() != model_layout(k)) {
         throw std::logic_error("map_exact: reconstructed layout diverges from model");
       }
+      ++k;
     }
-    const int pc = cur[static_cast<std::size_t>(g.control)];
-    const int pt = cur[static_cast<std::size_t>(g.target)];
-    out.skeleton.cnot(pc, pt);
-    if (!cm.allows(pc, pt)) ++out.reversed;
-    append_cnot_realisation(out.mapped, cm, pc, pt, g.condition);
-    ++k;
+    route.emit(g);
   }
-  out.final_layout = cur;
-  return out;
+  return route;
 }
 
 /// Deterministic greedy warm start: routes the circuit with shortest-path
@@ -137,82 +90,14 @@ Reconstruction reconstruct(const Circuit& original, const arch::CouplingMap& cm,
 /// symbolic instance can express any swap placement (PermutationStrategy::
 /// All over the full architecture); restricted strategies and proper
 /// subsets may not contain the greedy schedule.
-Reconstruction greedy_route(const Circuit& circuit, const arch::CouplingMap& cm) {
-  const int n = circuit.num_qubits();
-  const int m = cm.num_physical();
-  Reconstruction out{Circuit(m, circuit.name() + "/mapped"),
-                     Circuit(m, circuit.name() + "/routed-skeleton"),
-                     {},
-                     {},
-                     0,
-                     0};
+Router greedy_route(const Circuit& circuit, const arch::CouplingMap& cm) {
   const auto dist_handle = arch::SwapCostCache::instance().distances(cm);
-  const arch::DistanceMatrix& dist = *dist_handle;
-
-  std::vector<int> cur(static_cast<std::size_t>(n));
-  for (int j = 0; j < n; ++j) cur[static_cast<std::size_t>(j)] = j;
-  out.initial_layout = cur;
-
+  Router route(circuit, cm);
   for (const auto& g : circuit) {
-    if (g.kind == OpKind::Barrier) {
-      out.mapped.append(g);
-      continue;
-    }
-    if (g.is_nonunitary() || g.is_single_qubit()) {
-      out.mapped.append(g.remapped(cur[static_cast<std::size_t>(g.target)]));
-      continue;
-    }
-    for (;;) {
-      const int pc = cur[static_cast<std::size_t>(g.control)];
-      const int pt = cur[static_cast<std::size_t>(g.target)];
-      if (cm.coupled(pc, pt)) break;
-      // Walk the control one hop toward the target.
-      int best_nb = -1;
-      int best_d = dist.hops(pc, pt);
-      for (const int nb : cm.neighbours(pc)) {
-        if (dist.hops(nb, pt) < best_d) {
-          best_d = dist.hops(nb, pt);
-          best_nb = nb;
-        }
-      }
-      if (best_nb < 0) throw std::logic_error("map_exact: greedy warm start cannot progress");
-      append_swap_realisation(out.mapped, cm, pc, best_nb);
-      out.skeleton.swap(pc, best_nb);
-      ++out.swaps;
-      for (auto& p : cur) {
-        if (p == pc) {
-          p = best_nb;
-        } else if (p == best_nb) {
-          p = pc;
-        }
-      }
-    }
-    const int pc = cur[static_cast<std::size_t>(g.control)];
-    const int pt = cur[static_cast<std::size_t>(g.target)];
-    out.skeleton.cnot(pc, pt);
-    if (!cm.allows(pc, pt)) ++out.reversed;
-    append_cnot_realisation(out.mapped, cm, pc, pt, g.condition);
+    if (g.is_cnot()) route.walk(g.control, g.target, *dist_handle);
+    route.emit(g);
   }
-  out.final_layout = cur;
-  return out;
-}
-
-/// Trivial result for circuits without CNOTs: identity placement.
-MappingResult map_without_cnots(const Circuit& circuit, const arch::CouplingMap& cm) {
-  MappingResult res;
-  res.mapped = Circuit(cm.num_physical(), circuit.name() + "/mapped");
-  res.routed_skeleton = Circuit(cm.num_physical(), circuit.name() + "/routed-skeleton");
-  for (const auto& g : circuit) res.mapped.append(g);
-  for (int j = 0; j < circuit.num_qubits(); ++j) {
-    res.initial_layout.push_back(j);
-    res.final_layout.push_back(j);
-  }
-  res.status = reason::Status::Optimal;
-  res.cost_f = 0;
-  res.permutation_points = 1;
-  res.verified = true;
-  res.verify_message = "no CNOT constraints to satisfy";
-  return res;
+  return route;
 }
 
 /// Per-subset outcome collected by the executor tasks. Each task writes its
@@ -246,14 +131,6 @@ bool resolve_toggle(Toggle toggle, const char* env_name) {
   return !(v == "off" || v == "0" || v == "false");
 }
 
-/// Hardness proxy per instance for the work-stealing priority order: the
-/// undirected edge count of the induced coupling subgraph. Sparse subsets
-/// need more SWAPs, so their descending search runs longest; starting them
-/// while the shared Eq. (5) bound is still loose maximises how much of
-/// that work later bounds can abort, while dense subsets finish quickly
-/// anywhere and publish tight bounds early. The ShardExecutor queue orders
-/// tasks by (priority, request, index), so within one request equal-edge
-/// instances keep subset-index order — exactly the old stable sort.
 /// Accumulates per-phase wall time for MappingResult::trace_summary. Only
 /// populated while tracing is enabled (checked once, at map_exact entry);
 /// shard-side phases sum across threads, so encode/solve can exceed the
@@ -296,6 +173,14 @@ std::uint64_t elapsed_ns(Clock::time_point since) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - since).count());
 }
 
+/// Hardness proxy per instance for the work-stealing priority order: the
+/// undirected edge count of the induced coupling subgraph. Sparse subsets
+/// need more SWAPs, so their descending search runs longest; starting them
+/// while the shared Eq. (5) bound is still loose maximises how much of
+/// that work later bounds can abort, while dense subsets finish quickly
+/// anywhere and publish tight bounds early. The ShardExecutor queue orders
+/// tasks by (priority, request, index), so within one request equal-edge
+/// instances keep subset-index order — exactly the old stable sort.
 std::vector<long long> instance_hardness(const arch::CouplingMap& cm,
                                          const std::vector<std::vector<int>>& instances) {
   std::vector<long long> edges(instances.size(), 0);
@@ -317,12 +202,8 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   const auto start = Clock::now();
   const int n = circuit.num_qubits();
   const int m = cm.num_physical();
-  if (n > m) {
-    throw std::invalid_argument("map_exact: circuit needs more qubits than the architecture has");
-  }
-  if (circuit.counts().swap > 0) {
-    // Raw swap pseudo-gates in the *input* are decomposed here (Fig. 3 form)
-    // and their elementary gates routed like any others.
+  // Exact subsets may sit inside one component of a disconnected graph.
+  if (needs_swap_expansion(circuit, cm, "map_exact", /*require_connected=*/false)) {
     return map_exact(circuit.with_swaps_expanded(), cm, options);
   }
 
@@ -337,18 +218,26 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   PhaseTimes phases;
   phases.active = obs::TraceRecorder::enabled();
 
+  MappingResult res;
+  // Report the engine that actually runs, not the requested kind: without
+  // Z3 support, make_engine(EngineKind::Z3) degrades to the CDCL backend.
+  res.engine_name = reason::make_engine(options.engine)->name();
+  const CostModel costs = options.costs.resolved(cm);
+  res.objective = to_string(costs.objective);
+
   // CNOT skeleton.
   std::vector<Gate> cnots;
   for (const auto& g : circuit) {
     if (g.is_cnot()) cnots.push_back(g);
   }
   if (cnots.empty()) {
-    MappingResult trivial = map_without_cnots(circuit, cm);
-    trivial.objective = to_string(options.costs.objective);
-    return trivial;
+    // Nothing to route: the identity placement is optimal at zero cost.
+    Router route(circuit, cm);
+    for (const auto& g : circuit) route.emit(g);
+    res.status = reason::Status::Optimal;
+    res.permutation_points = 1;
+    return std::move(route).finish(std::move(res), costs, options.verify, start);
   }
-
-  const CostModel costs = options.costs.resolved(cm);
 
   const auto points = permutation_points(cnots, options.strategy, cm);
 
@@ -384,12 +273,7 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   const auto nominal_share = std::chrono::milliseconds(
       std::max<long long>(1, options.budget.count() / static_cast<long long>(instances.size())));
 
-  MappingResult res;
-  // Report the engine that actually runs, not the requested kind: without
-  // Z3 support, make_engine(EngineKind::Z3) degrades to the CDCL backend.
-  res.engine_name = reason::make_engine(options.engine)->name();
   res.permutation_points = static_cast<int>(points.size()) + 1;
-  res.objective = to_string(costs.objective);
 
   // --- Shard the subset instances through the process-wide executor ------
   //
@@ -432,7 +316,7 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   // Warm start: with a single instance under the All strategy, the symbolic
   // formulation can express every swap schedule, so the greedy route's cost
   // is a feasible objective value and seeds the bound (see greedy_route).
-  std::optional<Reconstruction> warm;
+  std::optional<Router> warm;
   long long warm_cost = kNoBound;
   if (instances.size() == 1 && options.strategy == PermutationStrategy::All) {
     const auto t0 = Clock::now();
@@ -440,7 +324,7 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
     warm = greedy_route(circuit, cm);
     // The bound lives in resolved objective units, not emitted-gate units —
     // they differ under ErrorWeighted and under explicit weight overrides.
-    warm_cost = costs.result_cost(warm->swaps, warm->reversed);
+    warm_cost = costs.result_cost(warm->swaps(), warm->reversed());
     span.attr("cost", warm_cost);
     if (phases.active) phases.warm_start_ns = elapsed_ns(t0);
   }
@@ -635,25 +519,11 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
     if (warm) {
       // Budget expired before any model under the seeded bound was found;
       // fall back to the warm start itself (feasible by construction).
-      res.mapped = std::move(warm->mapped);
-      res.routed_skeleton = std::move(warm->skeleton);
-      res.initial_layout = std::move(warm->initial_layout);
-      res.final_layout = std::move(warm->final_layout);
-      res.swaps_inserted = warm->swaps;
-      res.cnots_reversed = warm->reversed;
-      res.cost_f = static_cast<long long>(res.mapped.size()) -
-                   static_cast<long long>(circuit.size());
-      res.objective_cost = warm_cost;
       res.status = reason::Status::Feasible;
+      res = std::move(*warm).finish(std::move(res), costs, options.verify, start);
       if (options.verify) {
-        const bool gf2_ok =
-            sim::implements_skeleton(circuit.cnot_skeleton(), res.routed_skeleton,
-                                     res.initial_layout, res.final_layout);
-        res.verified = gf2_ok;
-        res.verify_message = std::string("gf2: ") + (gf2_ok ? "ok" : "FAILED") +
-                             "; warm-start fallback (engine found no model in budget)";
+        res.verify_message += "; warm-start fallback (engine found no model in budget)";
       }
-      res.seconds = std::chrono::duration<double>(Clock::now() - start).count();
       if (phases.active) res.trace_summary = phases.table(elapsed_ns(start));
       return res;
     }
@@ -694,45 +564,35 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   }
 
   const auto reconstruct_t0 = Clock::now();
-  Reconstruction rec = [&] {
+  Router route = [&] {
     obs::Span span("exact.reconstruct", "exact");
     return reconstruct(circuit, cm, *best, points);
   }();
   if (phases.active) phases.reconstruct_ns = elapsed_ns(reconstruct_t0);
-  res.mapped = std::move(rec.mapped);
-  res.routed_skeleton = std::move(rec.skeleton);
-  res.initial_layout = std::move(rec.initial_layout);
-  res.final_layout = std::move(rec.final_layout);
-  res.swaps_inserted = rec.swaps;
-  res.cnots_reversed = rec.reversed;
-  res.cost_f = static_cast<long long>(res.mapped.size()) - static_cast<long long>(circuit.size());
-  res.objective_cost = best->solution.cost_f;
   res.status = (any_feasible_not_optimal || any_unknown) ? reason::Status::Feasible
                                                          : reason::Status::Optimal;
+  res = std::move(route).finish(std::move(res), costs, options.verify, start);
 
   // Consistency: the emitted insertions must reproduce the model's objective
   // under the resolved weights (gate units and objective units coincide only
   // for GateCount with derived weights).
-  if (costs.result_cost(res.swaps_inserted, res.cnots_reversed) != best->solution.cost_f) {
+  if (res.objective_cost != best->solution.cost_f) {
     throw std::logic_error("map_exact: emitted gate overhead disagrees with model cost");
   }
 
   if (options.verify) {
+    // The router checked the GF(2) skeleton; small architectures also get
+    // the full statevector check.
     const auto t0 = Clock::now();
     obs::Span span("exact.verify", "exact");
-    const Circuit skeleton_logical = circuit.cnot_skeleton();
-    const bool gf2_ok = sim::implements_skeleton(skeleton_logical, res.routed_skeleton,
-                                                 res.initial_layout, res.final_layout);
-    bool deep_ok = true;
     std::string deep_msg = "statevector check skipped (architecture too large)";
     if (m <= options.deep_verify_max_qubits) {
       const auto eq = sim::check_mapped_circuit(circuit, res.mapped, res.initial_layout,
                                                 res.final_layout);
-      deep_ok = eq.equivalent;
+      res.verified = res.verified && eq.equivalent;
       deep_msg = eq.message;
     }
-    res.verified = gf2_ok && deep_ok;
-    res.verify_message = std::string("gf2: ") + (gf2_ok ? "ok" : "FAILED") + "; " + deep_msg;
+    res.verify_message += "; " + deep_msg;
     span.attr("verified", res.verified);
     if (phases.active) phases.verify_ns = elapsed_ns(t0);
   }

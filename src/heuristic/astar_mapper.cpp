@@ -7,18 +7,14 @@
 
 #include "arch/distances.hpp"
 #include "arch/swap_cost_cache.hpp"
-#include "exact/swap_synthesis.hpp"
+#include "exact/router.hpp"
 #include "ir/layers.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/equivalence.hpp"
-#include "sim/linear_reversible.hpp"
 
 namespace qxmap::heuristic {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 /// A* search for the cheapest SWAP sequence making all `pairs` executable.
 std::vector<std::pair<int, int>> astar_route(const std::vector<std::pair<int, int>>& pairs,
@@ -70,13 +66,7 @@ std::vector<std::pair<int, int>> astar_route(const std::vector<std::pair<int, in
     for (const auto& [a, b] : cm.undirected_edges()) {
       Node next = cur;
       next.g += swap_cost;
-      for (auto& p : next.layout) {
-        if (p == a) {
-          p = b;
-        } else if (p == b) {
-          p = a;
-        }
-      }
+      next.layout = exact::Router::swapped(std::move(next.layout), a, b);
       const auto it = best_g.find(next.layout);
       if (it != best_g.end() && it->second <= next.g) continue;
       best_g[next.layout] = next.g;
@@ -92,16 +82,8 @@ std::vector<std::pair<int, int>> astar_route(const std::vector<std::pair<int, in
 
 exact::MappingResult map_astar(const Circuit& circuit, const arch::CouplingMap& cm,
                                const AStarOptions& options) {
-  const auto start = Clock::now();
-  const int n = circuit.num_qubits();
-  const int m = cm.num_physical();
-  if (n > m) throw std::invalid_argument("map_astar: circuit larger than architecture");
-  if (!cm.is_connected()) {
-    throw std::invalid_argument("map_astar: coupling graph must be connected");
-  }
-  if (circuit.counts().swap > 0) {
-    // Raw swap pseudo-gates in the *input* are decomposed here (Fig. 3 form)
-    // and their elementary gates routed like any others.
+  const auto start = exact::Router::Clock::now();
+  if (exact::needs_swap_expansion(circuit, cm, "map_astar")) {
     return map_astar(circuit.with_swaps_expanded(), cm, options);
   }
 
@@ -115,17 +97,7 @@ exact::MappingResult map_astar(const Circuit& circuit, const arch::CouplingMap& 
   const arch::DistanceMatrix& dist = *dist_handle;
   const exact::CostModel costs = options.costs.resolved(cm);
 
-  exact::MappingResult res;
-  res.engine_name = "astar";
-  res.objective = exact::to_string(costs.objective);
-  res.status = reason::Status::Feasible;
-  res.mapped = Circuit(m, circuit.name() + "/mapped");
-  res.routed_skeleton = Circuit(m, circuit.name() + "/routed-skeleton");
-
-  std::vector<int> layout(static_cast<std::size_t>(n));
-  for (int j = 0; j < n; ++j) layout[static_cast<std::size_t>(j)] = j;
-  res.initial_layout = layout;
-
+  exact::Router route(circuit, cm);
   for (const auto& layer : asap_layers(circuit)) {
     std::vector<std::pair<int, int>> pairs;
     for (const std::size_t gi : layer) {
@@ -133,50 +105,18 @@ exact::MappingResult map_astar(const Circuit& circuit, const arch::CouplingMap& 
       if (g.is_cnot()) pairs.emplace_back(g.control, g.target);
     }
     if (!pairs.empty()) {
-      for (const auto& [a, b] :
-           astar_route(pairs, layout, cm, dist, options.max_expansions, costs.swap_cost)) {
-        exact::append_swap_realisation(res.mapped, cm, a, b);
-        res.routed_skeleton.swap(a, b);
-        ++res.swaps_inserted;
-        for (auto& p : layout) {
-          if (p == a) {
-            p = b;
-          } else if (p == b) {
-            p = a;
-          }
-        }
+      for (const auto& [a, b] : astar_route(pairs, route.layout(), cm, dist,
+                                            options.max_expansions, costs.swap_cost)) {
+        route.swap(a, b);
       }
     }
-    for (const std::size_t gi : layer) {
-      const Gate& g = circuit.gate(gi);
-      if (g.kind == OpKind::Barrier) {
-        res.mapped.append(g);
-        continue;
-      }
-      if (g.is_nonunitary() || g.is_single_qubit()) {
-        // remapped() keeps params and any classical guard.
-        res.mapped.append(g.remapped(layout[static_cast<std::size_t>(g.target)]));
-        continue;
-      }
-      const int pc = layout[static_cast<std::size_t>(g.control)];
-      const int pt = layout[static_cast<std::size_t>(g.target)];
-      res.routed_skeleton.cnot(pc, pt);
-      if (!cm.allows(pc, pt)) ++res.cnots_reversed;
-      exact::append_cnot_realisation(res.mapped, cm, pc, pt, g.condition);
-    }
+    for (const std::size_t gi : layer) route.emit(circuit.gate(gi));
   }
-  res.final_layout = layout;
-  res.cost_f = static_cast<long long>(res.mapped.size()) - static_cast<long long>(circuit.size());
-  res.objective_cost = costs.result_cost(res.swaps_inserted, res.cnots_reversed);
 
-  if (options.verify) {
-    const bool gf2_ok = sim::implements_skeleton(circuit.cnot_skeleton(), res.routed_skeleton,
-                                                 res.initial_layout, res.final_layout);
-    res.verified = gf2_ok;
-    res.verify_message = std::string("gf2: ") + (gf2_ok ? "ok" : "FAILED");
-  }
-  res.seconds = std::chrono::duration<double>(Clock::now() - start).count();
-  return res;
+  exact::MappingResult res;
+  res.engine_name = "astar";
+  res.status = reason::Status::Feasible;
+  return std::move(route).finish(std::move(res), costs, options.verify, start);
 }
 
 }  // namespace qxmap::heuristic

@@ -1,7 +1,5 @@
 #include "heuristic/layer_weight_mapper.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <optional>
 #include <set>
@@ -11,26 +9,14 @@
 #include "arch/distances.hpp"
 #include "arch/swap_cost_cache.hpp"
 #include "common/rng.hpp"
-#include "exact/swap_synthesis.hpp"
+#include "exact/router.hpp"
 #include "ir/layers.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/linear_reversible.hpp"
 
 namespace qxmap::heuristic {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-/// One complete routed circuit (a single weight profile's output).
-struct Route {
-  Circuit mapped;
-  Circuit skeleton;
-  std::vector<int> final_layout;
-  int swaps = 0;
-  int reversed = 0;
-};
 
 /// Weighted lookahead score of `layout` at layer `li`: for every CNOT in the
 /// window [li, li + w.size()), its remaining routing distance (hops - 1,
@@ -53,35 +39,13 @@ double window_score(const std::vector<std::vector<std::pair<int, int>>>& layer_p
 /// greedily applies strictly-improving swaps under the window score; phase 2
 /// emits the layer's gates, walking any still-blocked CNOT along a shortest
 /// path (each step strictly shrinks that pair's distance, so it terminates).
-Route route_profile(const Circuit& circuit, const arch::CouplingMap& cm,
-                    const arch::DistanceMatrix& dist,
-                    const std::vector<std::vector<std::size_t>>& layers,
-                    const std::vector<std::vector<std::pair<int, int>>>& layer_pairs,
-                    const std::vector<double>& w) {
-  const int n = circuit.num_qubits();
-  const int m = cm.num_physical();
-  Route out{Circuit(m, circuit.name() + "/mapped"),
-            Circuit(m, circuit.name() + "/routed-skeleton"),
-            {},
-            0,
-            0};
-  std::vector<int>& layout = out.final_layout;
-  layout.resize(static_cast<std::size_t>(n));
-  for (int j = 0; j < n; ++j) layout[static_cast<std::size_t>(j)] = j;
-
-  const auto apply_swap = [&](int a, int b) {
-    exact::append_swap_realisation(out.mapped, cm, a, b);
-    out.skeleton.swap(a, b);
-    ++out.swaps;
-    for (auto& p : layout) {
-      if (p == a) {
-        p = b;
-      } else if (p == b) {
-        p = a;
-      }
-    }
-  };
-
+exact::Router route_profile(const Circuit& circuit, const arch::CouplingMap& cm,
+                           const arch::DistanceMatrix& dist,
+                           const std::vector<std::vector<std::size_t>>& layers,
+                           const std::vector<std::vector<std::pair<int, int>>>& layer_pairs,
+                           const std::vector<double>& w) {
+  exact::Router route(circuit, cm);
+  const std::vector<int>& layout = route.layout();
   for (std::size_t li = 0; li < layers.size(); ++li) {
     // Phase 1: weighted greedy pre-positioning. Only strictly-improving
     // swaps are taken, so the (finite, discrete-valued) score decreases
@@ -103,75 +67,38 @@ Route route_profile(const Circuit& circuit, const arch::CouplingMap& cm,
       double best_score = current - kEps;
       for (const auto& [a, b] : cm.undirected_edges()) {
         if (!touched.contains(a) && !touched.contains(b)) continue;
-        std::vector<int> trial = layout;
-        for (auto& p : trial) {
-          if (p == a) {
-            p = b;
-          } else if (p == b) {
-            p = a;
-          }
-        }
-        const double s = window_score(layer_pairs, li, w, trial, dist);
+        const double s =
+            window_score(layer_pairs, li, w, exact::Router::swapped(layout, a, b), dist);
         if (s < best_score) {  // strict improvement; ties keep the earlier edge
           best_score = s;
           best_edge = {a, b};
         }
       }
       if (!best_edge) break;
-      apply_swap(best_edge->first, best_edge->second);
+      route.swap(best_edge->first, best_edge->second);
     }
 
     // Phase 2: emit the layer. A CNOT the greedy phase left blocked is
-    // routed by walking its control toward its target along sorted
-    // neighbours (deterministic shortest-path fallback, as in sabre).
+    // routed by walking its control toward its target along a shortest
+    // path (the deterministic fallback every mapper shares).
     for (const std::size_t gi : layers[li]) {
       const Gate& g = circuit.gate(gi);
-      if (g.kind == OpKind::Barrier) {
-        out.mapped.append(g);
-        continue;
-      }
-      if (g.is_nonunitary() || g.is_single_qubit()) {
-        // remapped() keeps params and any classical guard.
-        out.mapped.append(g.remapped(layout[static_cast<std::size_t>(g.target)]));
-        continue;
-      }
-      while (true) {
-        const int pc = layout[static_cast<std::size_t>(g.control)];
-        const int pt = layout[static_cast<std::size_t>(g.target)];
-        if (cm.coupled(pc, pt)) break;
-        int step = -1;
-        for (const int nb : cm.neighbours(pc)) {
-          if (step < 0 || dist.hops(nb, pt) < dist.hops(step, pt)) step = nb;
-        }
-        apply_swap(pc, step);
-      }
-      const int pc = layout[static_cast<std::size_t>(g.control)];
-      const int pt = layout[static_cast<std::size_t>(g.target)];
-      out.skeleton.cnot(pc, pt);
-      if (!cm.allows(pc, pt)) ++out.reversed;
-      exact::append_cnot_realisation(out.mapped, cm, pc, pt, g.condition);
+      if (g.is_cnot()) route.walk(g.control, g.target, dist);
+      route.emit(g);
     }
   }
-  return out;
+  return route;
 }
 
 }  // namespace
 
 exact::MappingResult map_layer_weight(const Circuit& circuit, const arch::CouplingMap& cm,
                                       const LayerWeightOptions& options) {
-  const auto start = Clock::now();
-  const int n = circuit.num_qubits();
-  const int m = cm.num_physical();
-  if (n > m) throw std::invalid_argument("map_layer_weight: circuit larger than architecture");
-  if (!cm.is_connected()) {
-    throw std::invalid_argument("map_layer_weight: coupling graph must be connected");
-  }
+  const auto start = exact::Router::Clock::now();
   if (options.iterations < 1 || options.lookahead_layers < 1) {
     throw std::invalid_argument("map_layer_weight: iterations and lookahead must be >= 1");
   }
-  if (circuit.counts().swap > 0) {
-    // Raw swap pseudo-gates in the *input* are decomposed here (Fig. 3 form)
-    // and their elementary gates routed like any others.
+  if (exact::needs_swap_expansion(circuit, cm, "map_layer_weight")) {
     return map_layer_weight(circuit.with_swaps_expanded(), cm, options);
   }
 
@@ -196,7 +123,7 @@ exact::MappingResult map_layer_weight(const Circuit& circuit, const arch::Coupli
   }
 
   Rng rng(options.seed);
-  std::optional<Route> best;
+  std::optional<exact::Router> best;
   long long best_cost = 0;
   const std::size_t window = static_cast<std::size_t>(options.lookahead_layers);
   for (int profile = 0; profile < options.iterations; ++profile) {
@@ -214,8 +141,8 @@ exact::MappingResult map_layer_weight(const Circuit& circuit, const arch::Coupli
         w[i] = std::pow(base, static_cast<double>(i)) * (0.75 + 0.5 * rng.next_double());
       }
     }
-    Route r = route_profile(circuit, cm, dist, layers, layer_pairs, w);
-    const long long cost = costs.result_cost(r.swaps, r.reversed);
+    exact::Router r = route_profile(circuit, cm, dist, layers, layer_pairs, w);
+    const long long cost = costs.result_cost(r.swaps(), r.reversed());
     iter.attr("cost", cost);
     if (!best || cost < best_cost) {
       best = std::move(r);
@@ -226,26 +153,8 @@ exact::MappingResult map_layer_weight(const Circuit& circuit, const arch::Coupli
   exact::MappingResult res;
   res.engine_name = "layer-weight";
   res.status = reason::Status::Feasible;
-  res.mapped = std::move(best->mapped);
-  res.routed_skeleton = std::move(best->skeleton);
-  res.initial_layout.resize(static_cast<std::size_t>(n));
-  for (int j = 0; j < n; ++j) res.initial_layout[static_cast<std::size_t>(j)] = j;
-  res.final_layout = std::move(best->final_layout);
-  res.swaps_inserted = best->swaps;
-  res.cnots_reversed = best->reversed;
-  res.cost_f = static_cast<long long>(res.mapped.size()) - static_cast<long long>(circuit.size());
-  res.objective = exact::to_string(costs.objective);
-  res.objective_cost = best_cost;
   res.instances_solved = options.iterations;
-
-  if (options.verify) {
-    const bool gf2_ok = sim::implements_skeleton(circuit.cnot_skeleton(), res.routed_skeleton,
-                                                 res.initial_layout, res.final_layout);
-    res.verified = gf2_ok;
-    res.verify_message = std::string("gf2: ") + (gf2_ok ? "ok" : "FAILED");
-  }
-  res.seconds = std::chrono::duration<double>(Clock::now() - start).count();
-  return res;
+  return std::move(*best).finish(std::move(res), costs, options.verify, start);
 }
 
 }  // namespace qxmap::heuristic

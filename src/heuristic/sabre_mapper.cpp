@@ -1,62 +1,58 @@
 #include "heuristic/sabre_mapper.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "arch/distances.hpp"
 #include "arch/swap_cost_cache.hpp"
 #include "common/rng.hpp"
-#include "exact/swap_synthesis.hpp"
+#include "exact/router.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/linear_reversible.hpp"
 
 namespace qxmap::heuristic {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 /// Dependency bookkeeping over the gate list: a gate becomes available once
-/// the previous gate on each of its qubits has been scheduled.
+/// the previous gate on each of its qubits has been scheduled. A barrier
+/// spans every qubit: it waits for the last gate on each and holds back the
+/// next one on each.
 struct Dag {
-  explicit Dag(const Circuit& c) : circuit(&c) {
-    const auto n = static_cast<std::size_t>(c.num_qubits());
-    std::vector<int> last(n, -1);
+  explicit Dag(const Circuit& c) {
+    std::vector<int> all(static_cast<std::size_t>(c.num_qubits()));
+    std::iota(all.begin(), all.end(), 0);
+    std::vector<int> last(all.size(), -1);
     preds.assign(c.size(), 0);
     succs.assign(c.size(), {});
     for (std::size_t gi = 0; gi < c.size(); ++gi) {
-      for (const int q : c.gate(gi).qubits()) {
-        if (last[static_cast<std::size_t>(q)] >= 0) {
-          succs[static_cast<std::size_t>(last[static_cast<std::size_t>(q)])].push_back(gi);
+      const Gate& g = c.gate(gi);
+      for (const int q : g.kind == OpKind::Barrier ? all : g.qubits()) {
+        const int prev = std::exchange(last[static_cast<std::size_t>(q)], static_cast<int>(gi));
+        if (prev < 0) continue;
+        // One edge per predecessor, even when it was last on several qubits.
+        auto& out = succs[static_cast<std::size_t>(prev)];
+        if (out.empty() || out.back() != gi) {
+          out.push_back(gi);
           ++preds[gi];
         }
-        last[static_cast<std::size_t>(q)] = static_cast<int>(gi);
       }
     }
   }
 
-  const Circuit* circuit;
   std::vector<int> preds;
   std::vector<std::vector<std::size_t>> succs;
 };
 
-/// One routing pass. When `emit` is non-null, gates and SWAP realisations
-/// are appended to it (and to `skeleton`); otherwise only the layout is
-/// evolved (the bidirectional warm-up passes).
-struct PassResult {
-  std::vector<int> layout;
-  int swaps = 0;
-  int reversed = 0;
-};
-
-PassResult run_pass(const Circuit& circuit, const arch::CouplingMap& cm,
-                    const arch::DistanceMatrix& dist, const SabreOptions& opt,
-                    std::vector<int> layout, Rng& rng, Circuit* emit, Circuit* skeleton) {
+/// One routing pass over `circuit`, applied to `route`.
+void run_pass(const Circuit& circuit, const arch::CouplingMap& cm,
+              const arch::DistanceMatrix& dist, const SabreOptions& opt, Rng& rng,
+              exact::Router& route) {
   const Dag dag(circuit);
   const int m = cm.num_physical();
-  PassResult result;
-  result.layout = std::move(layout);
+  const std::vector<int>& layout = route.layout();
 
   std::vector<int> preds = dag.preds;
   std::vector<std::size_t> front;
@@ -68,44 +64,10 @@ PassResult run_pass(const Circuit& circuit, const arch::CouplingMap& cm,
   int swaps_since_progress = 0;
   const int livelock_limit = 10 * m * m + 50;
 
-  const auto coupled_under = [&](const Gate& g, const std::vector<int>& lay) {
-    return cm.coupled(lay[static_cast<std::size_t>(g.control)],
-                      lay[static_cast<std::size_t>(g.target)]);
-  };
-
   const auto schedule = [&](std::size_t gi) {
-    const Gate& g = circuit.gate(gi);
-    if (emit != nullptr) {
-      if (g.kind == OpKind::Barrier) {
-        emit->append(g);
-      } else if (g.is_nonunitary() || g.is_single_qubit()) {
-        // remapped() keeps params and any classical guard.
-        emit->append(g.remapped(result.layout[static_cast<std::size_t>(g.target)]));
-      } else {
-        const int pc = result.layout[static_cast<std::size_t>(g.control)];
-        const int pt = result.layout[static_cast<std::size_t>(g.target)];
-        skeleton->cnot(pc, pt);
-        if (!cm.allows(pc, pt)) ++result.reversed;
-        exact::append_cnot_realisation(*emit, cm, pc, pt, g.condition);
-      }
-    }
+    route.emit(circuit.gate(gi));
     for (const std::size_t succ : dag.succs[gi]) {
       if (--preds[succ] == 0) front.push_back(succ);
-    }
-  };
-
-  const auto apply_swap = [&](int a, int b) {
-    if (emit != nullptr) {
-      exact::append_swap_realisation(*emit, cm, a, b);
-      skeleton->swap(a, b);
-    }
-    ++result.swaps;
-    for (auto& p : result.layout) {
-      if (p == a) {
-        p = b;
-      } else if (p == b) {
-        p = a;
-      }
     }
   };
 
@@ -117,7 +79,8 @@ PassResult run_pass(const Circuit& circuit, const arch::CouplingMap& cm,
     front.clear();
     for (const std::size_t gi : current) {
       const Gate& g = circuit.gate(gi);
-      if (!g.is_cnot() || coupled_under(g, result.layout)) {
+      if (!g.is_cnot() || cm.coupled(layout[static_cast<std::size_t>(g.control)],
+                                     layout[static_cast<std::size_t>(g.target)])) {
         schedule(gi);
         progressed = true;
       } else {
@@ -136,18 +99,7 @@ PassResult run_pass(const Circuit& circuit, const arch::CouplingMap& cm,
     if (++swaps_since_progress > livelock_limit) {
       // Deterministic fallback: walk the first blocked pair together.
       const Gate& g = circuit.gate(front[0]);
-      const int pc = result.layout[static_cast<std::size_t>(g.control)];
-      const int pt = result.layout[static_cast<std::size_t>(g.target)];
-      int best_nb = -1;
-      int best_d = dist.hops(pc, pt);
-      for (const int nb : cm.neighbours(pc)) {
-        if (dist.hops(nb, pt) < best_d) {
-          best_d = dist.hops(nb, pt);
-          best_nb = nb;
-        }
-      }
-      if (best_nb < 0) throw std::logic_error("map_sabre: cannot make progress");
-      apply_swap(pc, best_nb);
+      route.walk(g.control, g.target, dist);
       continue;
     }
 
@@ -191,19 +143,12 @@ PassResult run_pass(const Circuit& circuit, const arch::CouplingMap& cm,
     for (const auto& [a, b] : cm.undirected_edges()) {
       bool relevant = false;
       for (const auto& [qc, qt] : front_pairs) {
-        const int pc = result.layout[static_cast<std::size_t>(qc)];
-        const int pt = result.layout[static_cast<std::size_t>(qt)];
+        const int pc = layout[static_cast<std::size_t>(qc)];
+        const int pt = layout[static_cast<std::size_t>(qt)];
         if (a == pc || a == pt || b == pc || b == pt) relevant = true;
       }
       if (!relevant) continue;
-      std::vector<int> trial = result.layout;
-      for (auto& p : trial) {
-        if (p == a) {
-          p = b;
-        } else if (p == b) {
-          p = a;
-        }
-      }
+      const std::vector<int> trial = exact::Router::swapped(layout, a, b);
       double score = pair_distance(trial, front_pairs);
       if (!extended.empty()) {
         score += opt.extended_set_weight * pair_distance(trial, extended) /
@@ -221,9 +166,8 @@ PassResult run_pass(const Circuit& circuit, const arch::CouplingMap& cm,
     if (best_edge.first < 0) throw std::logic_error("map_sabre: no candidate swap");
     decay[static_cast<std::size_t>(best_edge.first)] += opt.decay;
     decay[static_cast<std::size_t>(best_edge.second)] += opt.decay;
-    apply_swap(best_edge.first, best_edge.second);
+    route.swap(best_edge.first, best_edge.second);
   }
-  return result;
 }
 
 /// Circuit with the gate order reversed (routing only cares about pair
@@ -238,16 +182,8 @@ Circuit reversed(const Circuit& c) {
 
 exact::MappingResult map_sabre(const Circuit& circuit, const arch::CouplingMap& cm,
                                const SabreOptions& options) {
-  const auto start = Clock::now();
-  const int n = circuit.num_qubits();
-  const int m = cm.num_physical();
-  if (n > m) throw std::invalid_argument("map_sabre: circuit larger than architecture");
-  if (!cm.is_connected()) {
-    throw std::invalid_argument("map_sabre: coupling graph must be connected");
-  }
-  if (circuit.counts().swap > 0) {
-    // Raw swap pseudo-gates in the *input* are decomposed here (Fig. 3 form)
-    // and their elementary gates routed like any others.
+  const auto start = exact::Router::Clock::now();
+  if (exact::needs_swap_expansion(circuit, cm, "map_sabre")) {
     return map_sabre(circuit.with_swaps_expanded(), cm, options);
   }
 
@@ -264,40 +200,26 @@ exact::MappingResult map_sabre(const Circuit& circuit, const arch::CouplingMap& 
   Rng rng(options.seed);
   const Circuit rev = reversed(circuit);
 
+  // Each pass routes `c` from the layout the previous pass ended in; the
+  // warm-up passes keep only their final layout, so they emit nothing.
+  const auto pass = [&](const Circuit& c, std::vector<int> from, bool emit) {
+    exact::Router route(c, cm, std::move(from), emit);
+    run_pass(c, cm, dist, options, rng, route);
+    return route;
+  };
   // Bidirectional warm-up: forward and backward passes refine the layout.
-  std::vector<int> layout(static_cast<std::size_t>(n));
-  for (int j = 0; j < n; ++j) layout[static_cast<std::size_t>(j)] = j;
+  exact::Router route(circuit, cm);
   for (int round = 0; round < options.bidirectional_rounds; ++round) {
     obs::Span iter("heuristic.iteration", "heuristic");
     iter.attr("round", static_cast<long long>(round));
-    layout = run_pass(circuit, cm, dist, options, std::move(layout), rng, nullptr, nullptr).layout;
-    layout = run_pass(rev, cm, dist, options, std::move(layout), rng, nullptr, nullptr).layout;
+    route = pass(rev, pass(circuit, route.layout(), false).layout(), false);
   }
+  route = pass(circuit, route.layout(), true);
 
   exact::MappingResult res;
   res.engine_name = "sabre";
   res.status = reason::Status::Feasible;
-  res.mapped = Circuit(m, circuit.name() + "/mapped");
-  res.routed_skeleton = Circuit(m, circuit.name() + "/routed-skeleton");
-  res.initial_layout = layout;
-
-  const PassResult final_pass = run_pass(circuit, cm, dist, options, std::move(layout), rng,
-                                         &res.mapped, &res.routed_skeleton);
-  res.final_layout = final_pass.layout;
-  res.swaps_inserted = final_pass.swaps;
-  res.cnots_reversed = final_pass.reversed;
-  res.cost_f = static_cast<long long>(res.mapped.size()) - static_cast<long long>(circuit.size());
-  res.objective = exact::to_string(costs.objective);
-  res.objective_cost = costs.result_cost(res.swaps_inserted, res.cnots_reversed);
-
-  if (options.verify) {
-    const bool gf2_ok = sim::implements_skeleton(circuit.cnot_skeleton(), res.routed_skeleton,
-                                                 res.initial_layout, res.final_layout);
-    res.verified = gf2_ok;
-    res.verify_message = std::string("gf2: ") + (gf2_ok ? "ok" : "FAILED");
-  }
-  res.seconds = std::chrono::duration<double>(Clock::now() - start).count();
-  return res;
+  return std::move(route).finish(std::move(res), costs, options.verify, start);
 }
 
 }  // namespace qxmap::heuristic

@@ -7,59 +7,14 @@
 #include "arch/distances.hpp"
 #include "arch/swap_cost_cache.hpp"
 #include "common/rng.hpp"
-#include "exact/swap_synthesis.hpp"
+#include "exact/router.hpp"
 #include "ir/layers.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/equivalence.hpp"
-#include "sim/linear_reversible.hpp"
 
 namespace qxmap::heuristic {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-/// State of one end-to-end mapping run.
-struct RunState {
-  Circuit mapped;
-  Circuit skeleton;
-  std::vector<int> layout;  // logical -> physical
-  int swaps = 0;
-  int reversed = 0;
-};
-
-/// Applies SWAP(a, b) to the layout and emits its realisation.
-void apply_swap(RunState& st, const arch::CouplingMap& cm, int a, int b) {
-  exact::append_swap_realisation(st.mapped, cm, a, b);
-  st.skeleton.swap(a, b);
-  ++st.swaps;
-  for (auto& p : st.layout) {
-    if (p == a) {
-      p = b;
-    } else if (p == b) {
-      p = a;
-    }
-  }
-}
-
-/// Emits one gate under the current layout.
-void emit_gate(RunState& st, const arch::CouplingMap& cm, const Gate& g) {
-  if (g.kind == OpKind::Barrier) {
-    st.mapped.append(g);
-    return;
-  }
-  if (g.is_nonunitary() || g.is_single_qubit()) {
-    // remapped() keeps params and any classical guard.
-    st.mapped.append(g.remapped(st.layout[static_cast<std::size_t>(g.target)]));
-    return;
-  }
-  const int pc = st.layout[static_cast<std::size_t>(g.control)];
-  const int pt = st.layout[static_cast<std::size_t>(g.target)];
-  st.skeleton.cnot(pc, pt);
-  if (!cm.allows(pc, pt)) ++st.reversed;
-  exact::append_cnot_realisation(st.mapped, cm, pc, pt, g.condition);
-}
 
 /// All CNOTs of `gates` executable (coupled in some direction) under layout?
 bool layer_executable(const std::vector<int>& layout, const std::vector<Gate>& gates,
@@ -111,15 +66,7 @@ std::optional<std::vector<std::pair<int, int>>> trial_search(
     double best_cost = cost;
     std::pair<int, int> best_edge{-1, -1};
     for (const auto& [a, b] : cm.undirected_edges()) {
-      std::vector<int> candidate = layout;
-      for (auto& p : candidate) {
-        if (p == a) {
-          p = b;
-        } else if (p == b) {
-          p = a;
-        }
-      }
-      const double c = cost_of(candidate);
+      const double c = cost_of(exact::Router::swapped(layout, a, b));
       if (c < best_cost) {
         best_cost = c;
         best_edge = {a, b};
@@ -127,90 +74,47 @@ std::optional<std::vector<std::pair<int, int>>> trial_search(
     }
     if (best_edge.first < 0) return std::nullopt;  // local minimum: trial failed
     swaps.push_back(best_edge);
-    for (auto& p : layout) {
-      if (p == best_edge.first) {
-        p = best_edge.second;
-      } else if (p == best_edge.second) {
-        p = best_edge.first;
-      }
-    }
+    layout = exact::Router::swapped(std::move(layout), best_edge.first, best_edge.second);
     cost = cost_of(layout);
   }
   return std::nullopt;
 }
 
-/// Deterministic fallback for a single blocked CNOT: walk the control along
-/// a shortest path until adjacent to the target.
-std::vector<std::pair<int, int>> route_single(const std::vector<int>& layout, int qc, int qt,
-                                              const arch::CouplingMap& cm,
-                                              const arch::DistanceMatrix& dist) {
-  std::vector<int> lay = layout;
-  std::vector<std::pair<int, int>> swaps;
-  while (!cm.coupled(lay[static_cast<std::size_t>(qc)], lay[static_cast<std::size_t>(qt)])) {
-    const int pc = lay[static_cast<std::size_t>(qc)];
-    const int pt = lay[static_cast<std::size_t>(qt)];
-    // Move pc to the neighbour closest to pt.
-    int best_nb = -1;
-    int best_d = dist.hops(pc, pt);
-    for (const int nb : cm.neighbours(pc)) {
-      if (dist.hops(nb, pt) < best_d) {
-        best_d = dist.hops(nb, pt);
-        best_nb = nb;
-      }
-    }
-    if (best_nb < 0) throw std::logic_error("route_single: no progress possible");
-    swaps.emplace_back(pc, best_nb);
-    for (auto& p : lay) {
-      if (p == pc) {
-        p = best_nb;
-      } else if (p == best_nb) {
-        p = pc;
-      }
-    }
-  }
-  return swaps;
-}
-
 /// Routes + emits one group of gates (a layer or a serialized single gate).
-void process_group(RunState& st, const std::vector<Gate>& gates, const arch::CouplingMap& cm,
-                   const arch::DistanceMatrix& dist, Rng& rng, int trials) {
+void process_group(exact::Router& route, const std::vector<Gate>& gates,
+                   const arch::CouplingMap& cm, const arch::DistanceMatrix& dist, Rng& rng,
+                   int trials) {
   std::vector<std::pair<int, int>> pairs;
   for (const auto& g : gates) {
     if (g.is_cnot()) pairs.emplace_back(g.control, g.target);
   }
-  if (!pairs.empty() && !layer_executable(st.layout, gates, cm)) {
+  if (!pairs.empty() && !layer_executable(route.layout(), gates, cm)) {
     std::optional<std::vector<std::pair<int, int>>> best;
     for (int t = 0; t < trials; ++t) {
-      auto trial = trial_search(pairs, st.layout, cm, dist, rng);
+      auto trial = trial_search(pairs, route.layout(), cm, dist, rng);
       if (trial && (!best || trial->size() < best->size())) best = std::move(trial);
     }
     if (!best && pairs.size() > 1) {
       // Serialize the layer: route and emit gate by gate.
-      for (const auto& g : gates) process_group(st, {g}, cm, dist, rng, trials);
+      for (const auto& g : gates) process_group(route, {g}, cm, dist, rng, trials);
       return;
     }
-    if (!best) best = route_single(st.layout, pairs[0].first, pairs[0].second, cm, dist);
-    for (const auto& [a, b] : *best) apply_swap(st, cm, a, b);
+    if (best) {
+      for (const auto& [a, b] : *best) route.swap(a, b);
+    } else {
+      // Deterministic fallback for a single blocked CNOT.
+      route.walk(pairs[0].first, pairs[0].second, dist);
+    }
   }
-  for (const auto& g : gates) emit_gate(st, cm, g);
+  for (const auto& g : gates) route.emit(g);
 }
 
 }  // namespace
 
 exact::MappingResult map_stochastic_swap(const Circuit& circuit, const arch::CouplingMap& cm,
                                          const StochasticSwapOptions& options) {
-  const auto start = Clock::now();
-  const int n = circuit.num_qubits();
-  const int m = cm.num_physical();
-  if (n > m) {
-    throw std::invalid_argument("map_stochastic_swap: circuit larger than architecture");
-  }
-  if (!cm.is_connected()) {
-    throw std::invalid_argument("map_stochastic_swap: coupling graph must be connected");
-  }
-  if (circuit.counts().swap > 0) {
-    // Raw swap pseudo-gates in the *input* are decomposed here (Fig. 3 form)
-    // and their elementary gates routed like any others.
+  const auto start = exact::Router::Clock::now();
+  if (exact::needs_swap_expansion(circuit, cm, "map_stochastic_swap")) {
     return map_stochastic_swap(circuit.with_swaps_expanded(), cm, options);
   }
   if (options.trials < 1 || options.runs < 1) {
@@ -229,59 +133,32 @@ exact::MappingResult map_stochastic_swap(const Circuit& circuit, const arch::Cou
   const exact::CostModel costs = options.costs.resolved(cm);
   const auto layers = asap_layers(circuit);
 
-  std::optional<RunState> best;
-  std::vector<int> best_initial;
+  std::optional<exact::Router> best;
   Rng rng(options.seed);
   for (int run = 0; run < options.runs; ++run) {
     obs::Span iter("heuristic.iteration", "heuristic");
     iter.attr("run", static_cast<long long>(run));
-    RunState st{Circuit(m, circuit.name() + "/mapped"),
-                Circuit(m, circuit.name() + "/routed-skeleton"),
-                {},
-                0,
-                0};
-    st.layout.resize(static_cast<std::size_t>(n));
-    for (int j = 0; j < n; ++j) st.layout[static_cast<std::size_t>(j)] = j;  // trivial layout
-    const std::vector<int> initial = st.layout;
-
+    exact::Router route(circuit, cm);
     for (const auto& layer : layers) {
       std::vector<Gate> gates;
       gates.reserve(layer.size());
       for (const std::size_t gi : layer) gates.push_back(circuit.gate(gi));
-      process_group(st, gates, cm, dist, rng, options.trials);
+      process_group(route, gates, cm, dist, rng, options.trials);
     }
-    iter.attr("cost", costs.result_cost(st.swaps, st.reversed));
+    const long long cost = costs.result_cost(route.swaps(), route.reversed());
+    iter.attr("cost", cost);
     // Best-of-runs selection under the requested objective (ties keep the
     // earlier run, so single-run results are unchanged).
-    if (!best || costs.result_cost(st.swaps, st.reversed) <
-                     costs.result_cost(best->swaps, best->reversed)) {
-      best = std::move(st);
-      best_initial = initial;
+    if (!best || cost < costs.result_cost(best->swaps(), best->reversed())) {
+      best = std::move(route);
     }
   }
 
   exact::MappingResult res;
   res.engine_name = "qiskit-stochastic";
   res.status = reason::Status::Feasible;
-  res.mapped = std::move(best->mapped);
-  res.routed_skeleton = std::move(best->skeleton);
-  res.initial_layout = std::move(best_initial);
-  res.final_layout = std::move(best->layout);
-  res.swaps_inserted = best->swaps;
-  res.cnots_reversed = best->reversed;
-  res.cost_f = static_cast<long long>(res.mapped.size()) - static_cast<long long>(circuit.size());
-  res.objective = exact::to_string(costs.objective);
-  res.objective_cost = costs.result_cost(res.swaps_inserted, res.cnots_reversed);
   res.instances_solved = options.runs;
-
-  if (options.verify) {
-    const bool gf2_ok = sim::implements_skeleton(circuit.cnot_skeleton(), res.routed_skeleton,
-                                                 res.initial_layout, res.final_layout);
-    res.verified = gf2_ok;
-    res.verify_message = std::string("gf2: ") + (gf2_ok ? "ok" : "FAILED");
-  }
-  res.seconds = std::chrono::duration<double>(Clock::now() - start).count();
-  return res;
+  return std::move(*best).finish(std::move(res), costs, options.verify, start);
 }
 
 }  // namespace qxmap::heuristic

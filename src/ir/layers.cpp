@@ -15,6 +15,10 @@ std::vector<std::vector<std::size_t>> asap_layers(const Circuit& c) {
   for (std::size_t gi = 0; gi < c.size(); ++gi) {
     const Gate& g = c.gate(gi);
     if (g.kind == OpKind::Barrier) {
+      // Emitted after every gate placed so far, i.e. at the end of the last
+      // layer; a leading barrier opens a layer of its own.
+      if (layers.empty()) layers.emplace_back();
+      layers.back().push_back(gi);
       barrier_floor = static_cast<int>(layers.size()) - 1;
       continue;
     }

@@ -21,8 +21,10 @@
 namespace qxmap {
 
 /// Partitions the gate indices of `c` into ASAP layers: gate g is placed in
-/// layer 1 + max(layer of any earlier gate sharing a qubit with g). Barriers
-/// close all layers. Returned layers are non-empty and ordered.
+/// layer 1 + max(layer of any earlier gate sharing a qubit with g). A barrier
+/// closes all layers: it is appended to the last one (a leading barrier
+/// forms its own), so mappers that emit layer by layer keep it in place.
+/// Returned layers are non-empty and ordered.
 [[nodiscard]] std::vector<std::vector<std::size_t>> asap_layers(const Circuit& c);
 
 /// Indices `s` (0 < s < gates.size()) at which a new cluster begins when

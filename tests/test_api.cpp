@@ -48,6 +48,47 @@ TEST(Api, SabreAndLayerWeightMethodDispatch) {
   EXPECT_TRUE(res.verified) << res.verify_message;
 }
 
+/// A barrier is a user fence: every mapper must emit it between the gates it
+/// separates — neither dropped (so peephole passes cannot cancel across it)
+/// nor hoisted ahead of earlier gates.
+class ApiBarrier : public ::testing::TestWithParam<Method> {};
+
+TEST_P(ApiBarrier, StaysBetweenTheGatesItSeparates) {
+  Circuit c(5, "fence");
+  c.h(0);
+  c.h(0);
+  c.append(Gate::barrier());
+  c.h(0);
+  c.h(0);
+  MapOptions opt;
+  opt.method = GetParam();
+  opt.exact.budget = std::chrono::milliseconds(30000);
+  const auto res = map(c, arch::ibm_qx4(), opt);
+  std::vector<OpKind> kinds;
+  for (const auto& g : res.mapped) {
+    kinds.push_back(g.kind);
+    if (g.kind != OpKind::Barrier) {
+      EXPECT_EQ(g.target, res.initial_layout[0]);
+    }
+  }
+  EXPECT_EQ(kinds, (std::vector<OpKind>{OpKind::H, OpKind::H, OpKind::Barrier, OpKind::H,
+                                        OpKind::H}));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllMethods, ApiBarrier,
+                         ::testing::Values(Method::Exact, Method::StochasticSwap, Method::AStar,
+                                           Method::Sabre, Method::LayerWeight),
+                         [](const ::testing::TestParamInfo<Method>& info) {
+                           switch (info.param) {
+                             case Method::Exact: return "Exact";
+                             case Method::StochasticSwap: return "StochasticSwap";
+                             case Method::AStar: return "AStar";
+                             case Method::Sabre: return "Sabre";
+                             case Method::LayerWeight: return "LayerWeight";
+                           }
+                           return "Unknown";
+                         });
+
 TEST(Api, QasmInQasmOut) {
   // The facade exposes the QASM front-end directly.
   const Circuit c = qasm::parse(R"(

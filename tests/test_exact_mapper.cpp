@@ -125,6 +125,24 @@ TEST(ExactMapper, CircuitWithoutCnots) {
   EXPECT_EQ(res.permutation_points, 1);
 }
 
+TEST(ExactMapper, CircuitWithoutCnotsReportsLikeAnyOtherResult) {
+  // The CNOT-free shortcut names the engine that would have run and
+  // measures its wall time, like every routed result.
+  Circuit no_cnot(3, "no-cnot");
+  no_cnot.h(0);
+  no_cnot.t(2);
+  Circuit with_cnot(3, "cnot");
+  with_cnot.h(0);
+  with_cnot.cnot(0, 1);
+  for (const EngineKind kind : {EngineKind::Z3, EngineKind::Cdcl}) {
+    const auto trivial = map_exact(no_cnot, arch::ibm_qx4(), fast_options(kind));
+    const auto routed = map_exact(with_cnot, arch::ibm_qx4(), fast_options(kind));
+    EXPECT_FALSE(trivial.engine_name.empty());
+    EXPECT_EQ(trivial.engine_name, routed.engine_name);
+    EXPECT_GT(trivial.seconds, 0.0);
+  }
+}
+
 TEST(ExactMapper, MeasureAndBarrierSurvive) {
   Circuit c(2, "meas");
   c.h(0);

@@ -43,6 +43,22 @@ TEST(Layers, AsapBarrierClosesLayers) {
   EXPECT_EQ(layers[1], (std::vector<std::size_t>{2}));
 }
 
+TEST(Layers, AsapKeepsBarriersInPlace) {
+  // A barrier ends the layer it closes; a leading one forms its own layer.
+  Circuit c(2);
+  c.append(Gate::barrier());
+  c.h(0);
+  c.cnot(0, 1);
+  c.append(Gate::barrier());
+  c.h(1);
+  const auto layers = asap_layers(c);
+  ASSERT_EQ(layers.size(), 4u);
+  EXPECT_EQ(layers[0], (std::vector<std::size_t>{0}));
+  EXPECT_EQ(layers[1], (std::vector<std::size_t>{1}));
+  EXPECT_EQ(layers[2], (std::vector<std::size_t>{2, 3}));
+  EXPECT_EQ(layers[3], (std::vector<std::size_t>{4}));
+}
+
 TEST(Layers, AsapEmptyCircuit) {
   EXPECT_TRUE(asap_layers(Circuit(3)).empty());
 }
