@@ -42,12 +42,6 @@ struct ServiceMetrics {
   }
 };
 
-/// Digest of every result-affecting option of the *active* method block.
-/// Textual on purpose: keys show up verbatim in logs and cache dumps, and a
-/// field-by-field string is auditable in a way a second-level hash is not.
-/// Excluded by contract (docs/concurrency.md — they change wall time, never
-/// results): exact.num_threads, exact.work_stealing,
-/// exact.cooperative_tightening.
 /// Cost-model segment shared by every method block. The objective always
 /// participates; the ErrorWeighted inputs (fallback rates, scale, and the
 /// architecture's calibration fingerprint) only when that objective is
@@ -68,6 +62,11 @@ std::string cost_model_digest(const exact::CostModel& c, const arch::CouplingMap
   return d;
 }
 
+/// Digest of every result-affecting option of the *active* method block.
+/// Textual on purpose: keys show up verbatim in logs and cache dumps, and a
+/// field-by-field string is auditable in a way a second-level hash is not.
+/// Excluded by contract (docs/concurrency.md — it changes wall time, never
+/// results): exact.num_threads.
 std::string options_digest(const MapOptions& o, const arch::CouplingMap& architecture) {
   std::string d;
   switch (o.method) {

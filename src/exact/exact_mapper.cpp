@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -118,19 +115,6 @@ std::size_t resolve_num_threads(int requested, std::size_t num_instances) {
   return std::min(threads, num_instances);
 }
 
-/// Resolves a scheduler Toggle: Auto defers to the named environment
-/// variable, where `off` / `0` / `false` (any case) disable and anything
-/// else — including unset — enables. See docs/concurrency.md.
-bool resolve_toggle(Toggle toggle, const char* env_name) {
-  if (toggle == Toggle::On) return true;
-  if (toggle == Toggle::Off) return false;
-  const char* value = std::getenv(env_name);
-  if (value == nullptr) return true;
-  std::string v(value);
-  for (char& c : v) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return !(v == "off" || v == "0" || v == "false");
-}
-
 /// Accumulates per-phase wall time for MappingResult::trace_summary. Only
 /// populated while tracing is enabled (checked once, at map_exact entry);
 /// shard-side phases sum across threads, so encode/solve can exceed the
@@ -173,7 +157,7 @@ std::uint64_t elapsed_ns(Clock::time_point since) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - since).count());
 }
 
-/// Hardness proxy per instance for the work-stealing priority order: the
+/// Hardness proxy per instance for the hardest-first pop order: the
 /// undirected edge count of the induced coupling subgraph. Sparse subsets
 /// need more SWAPs, so their descending search runs longest; starting them
 /// while the shared Eq. (5) bound is still loose maximises how much of
@@ -278,40 +262,36 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   // --- Shard the subset instances through the process-wide executor ------
   //
   // The full protocol — shard lifecycle, shared-bound memory ordering, the
-  // work-stealing pop order, and the determinism argument — is specified in
+  // hardest-first pop order, and the determinism argument — is specified in
   // docs/concurrency.md; the comments here are the short version.
   //
   // Each instance becomes one task on the shared ShardExecutor (so shards
   // of concurrent map() calls interleave through a single pool instead of
   // one pool per call); `options.num_threads` survives as this request's
-  // concurrency cap. Tasks pop in priority order (hardest-first under work
-  // stealing, subset-index order otherwise). Each executing thread owns its
+  // concurrency cap. Tasks pop hardest-first (instance_hardness; ties in
+  // subset-index order). Each executing thread owns its
   // engine (the CDCL solver is not thread-safe), scoped to *this request*
   // so the bound-source closures below never outlive the atomics they read.
   // A shared atomic bound carries the best model cost found so far: shards
-  // start their Eq. (5) search with objective <= bound enforced, and — with
-  // cooperative tightening — keep polling it at engine checkpoints
-  // *mid-solve*, aborting branches that can no longer beat the incumbent.
+  // start their Eq. (5) search with objective <= bound enforced, and keep
+  // polling it at engine checkpoints *mid-solve*, aborting branches that
+  // can no longer beat the incumbent.
   //
   // Determinism: the reduction below selects the lowest cost with ties
   // broken on the lowest subset index. A shard's reported optimum is
   // independent of the bounds it observed (bounds are inclusive and never
   // drop below the final best cost), so the selected (cost, index) pair is
-  // bit-identical at every thread count and under either pop order; the
+  // bit-identical at every thread count and in any pop order; the
   // winning *model* is then re-derived canonically after the reduction.
   // When a shard proves a zero-cost solution — the objective's lower
   // bound — instances at *higher* indices are skipped: they can at best tie
   // and lose the index tie-break. Lower indices still run, preserving the
   // tie-break winner.
   constexpr long long kNoBound = std::numeric_limits<long long>::max();
-  const bool steal = resolve_toggle(options.work_stealing, "QXMAP_EXACT_STEAL");
-  const bool tighten = resolve_toggle(options.cooperative_tightening, "QXMAP_EXACT_TIGHTEN");
-  std::vector<long long> priorities(instances.size());
-  if (steal && instances.size() > 1) {
-    priorities = instance_hardness(cm, instances);
-  } else {
-    std::iota(priorities.begin(), priorities.end(), 0LL);
-  }
+  // A lone instance keeps priority 0: the front of the shared queue, ahead
+  // of other requests' subset batches.
+  const std::vector<long long> priorities =
+      instances.size() > 1 ? instance_hardness(cm, instances) : std::vector<long long>{0};
 
   // Warm start: with a single instance under the All strategy, the symbolic
   // formulation can express every swap schedule, so the greedy route's cost
@@ -412,7 +392,7 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
       }
       const long long bound = shared_bound.load(std::memory_order_acquire);
       if (bound != kNoBound) engine.set_upper_bound(bound);
-      if (tighten && instances.size() > 1) {
+      if (instances.size() > 1) {
         // Live view of the shared bound: the engine re-tightens its GTE /
         // PB constraint whenever a sibling publishes a cheaper model.
         // Pointless with a single instance (no sibling can publish), and

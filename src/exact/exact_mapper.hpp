@@ -10,10 +10,9 @@
 ///     ExactOptions::use_subsets, one per connected n-subset (Sec. 4.1) —
 ///     and minimize Eq. (5) with the configured reasoning engine; subset
 ///     instances are sharded across ExactOptions::num_threads workers, each
-///     owning its engine, popping from a shared hardest-first work-stealing
-///     queue, with a shared atomic bound feeding every shard's Eq. (5)
-///     upper bound both at solve start and — via cooperative tightening —
-///     at checkpoints mid-solve, plus a deterministic
+///     owning its engine, popping from a shared hardest-first queue, with a
+///     shared atomic bound feeding every shard's Eq. (5) upper bound both
+///     at solve start and at checkpoints mid-solve, plus a deterministic
 ///     lowest-cost/lowest-index reduction (results are bit-identical at any
 ///     thread count; protocol spec in docs/concurrency.md); swaps(π)
 ///     tables come from the process-wide arch::SwapCostCache;

@@ -26,12 +26,6 @@ enum class PermutationStrategy {
 
 [[nodiscard]] std::string to_string(PermutationStrategy s);
 
-/// Three-state switch for scheduler features: `Auto` defers to the matching
-/// environment variable (QXMAP_EXACT_STEAL / QXMAP_EXACT_TIGHTEN; the values
-/// `off`, `0` and `false` disable, anything else — including unset —
-/// enables), so CI can exercise both schedulers without code changes.
-enum class Toggle { Auto, On, Off };
-
 /// What the integer objective weights represent.
 enum class CostObjective {
   GateCount,      ///< the paper's Eq. (5): added elementary operations
@@ -83,7 +77,10 @@ struct CostModel {
 
 /// Options for the exact mapper.
 struct ExactOptions {
-  reason::EngineKind engine = reason::EngineKind::Z3;
+  /// Defaults to the engine that actually runs: Z3 when the build has Z3
+  /// support, else the built-in CDCL backend.
+  reason::EngineKind engine =
+      reason::z3_available() ? reason::EngineKind::Z3 : reason::EngineKind::Cdcl;
   /// How the engine approaches the Eq. (5) minimum (Sec. 3.3): a descending
   /// bound loop, or binary-search probes that assert speculative bounds as
   /// assumption literals against one incremental solver. Both return the
@@ -106,20 +103,6 @@ struct ExactOptions {
   /// yields bit-identical results as long as the solver budget does not
   /// expire mid-search. See docs/concurrency.md.
   int num_threads = 0;
-  /// Work-stealing pop order for the shared instance queue: hardest-looking
-  /// instances (sparsest induced coupling subgraph — they need the most
-  /// SWAPs and the deepest descending search) are started first, while the
-  /// bound is still loose, and quick dense instances mop up and publish
-  /// cheap bounds that abort the big ones mid-solve. `Off` pops in subset
-  /// index order (the PR 2 scheduler). Does not affect results, only wall
-  /// time (docs/concurrency.md has the determinism argument).
-  Toggle work_stealing = Toggle::Auto;
-  /// Mid-solve bound propagation: shards poll the shared Eq. (5) bound at
-  /// engine checkpoints *during* a solve and abort branches that can no
-  /// longer beat the incumbent (ReasoningEngine::set_bound_source). `Off`
-  /// consults the shared bound only at solve start. Does not affect
-  /// results, only wall time.
-  Toggle cooperative_tightening = Toggle::Auto;
   /// Total solver budget, shared across subset instances as one deadline:
   /// each shard grants its next instance an equal share of the time *left*,
   /// so slack from instances that finish early (or are skipped) flows to

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
-#include <string_view>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -68,14 +67,6 @@ WeightedOutputs build_gte(Solver& s, const std::vector<std::pair<Lit, long long>
 }
 
 }  // namespace
-
-CdclEngine::CdclEngine() {
-  if (const char* env = std::getenv("QXMAP_SAT_RESTART");
-      env != nullptr && std::string_view(env) == "luby") {
-    restart_policy_ = sat::RestartPolicy::Luby;
-  }
-  solver_.set_restart_policy(restart_policy_);
-}
 
 int CdclEngine::new_bool() { return solver_.new_var(); }
 
@@ -246,14 +237,11 @@ Outcome CdclEngine::minimize(std::chrono::milliseconds budget) {
   // falsified-literal clauses once, instead of carrying them through every
   // descending step.
   solver_.simplify();
-  const Outcome out = mode_ == OptimizationMode::BinarySearch ? minimize_binary(deadline)
-                                                              : minimize_descending(deadline);
+  Checkpoints cp{deadline, obs::TraceRecorder::enabled(), solver_.stats().restarts,
+                 solver_.stats().learnt_deleted};
+  const Outcome out = mode_ == OptimizationMode::BinarySearch ? minimize_binary(cp)
+                                                              : minimize_descending(cp);
   const sat::SolverStats& ss = solver_.stats();
-  stats_.learnts_kept = static_cast<long long>(ss.learnt_kept);
-  stats_.learnts_deleted = static_cast<long long>(ss.learnt_deleted);
-  stats_.restarts = static_cast<long long>(ss.restarts);
-  stats_.avg_lbd =
-      ss.learned > 0 ? static_cast<double>(ss.lbd_sum) / static_cast<double>(ss.learned) : 0.0;
   CdclMetrics& metrics = CdclMetrics::get();
   metrics.conflicts.inc(ss.conflicts - before.conflicts);
   metrics.restarts.inc(ss.restarts - before.restarts);
@@ -270,57 +258,60 @@ Outcome CdclEngine::minimize(std::chrono::milliseconds budget) {
   return out;
 }
 
-Outcome CdclEngine::minimize_descending(std::chrono::steady_clock::time_point deadline) {
-  Outcome out;
+std::optional<sat::SolveResult> CdclEngine::solve_checked(Checkpoints& cp,
+                                                          const std::vector<Lit>& assumptions) {
+  // In-solve checkpoints ride the solver's conflict-boundary interrupt.
   // Milestone instants (restarts, ReduceDB passes) are detected as solver
-  // stat deltas at conflict boundaries. The flag is sampled once so the
-  // disabled path costs nothing per conflict beyond this captured bool.
-  const bool tracing = obs::TraceRecorder::enabled();
-  std::uint64_t seen_restarts = solver_.stats().restarts;
-  std::uint64_t seen_deleted = solver_.stats().learnt_deleted;
+  // stat deltas. Clauses cannot be added mid-solve, so a strictly tighter
+  // published bound aborts at the next conflict boundary and is enforced
+  // below before the caller re-enters; the solver keeps learnt clauses,
+  // phases and activities, so nothing already derived is lost.
+  cp.pending = kNoBound;
+  const auto interrupt = [&]() -> bool {
+    if (cp.tracing) {
+      const sat::SolverStats& ss = solver_.stats();
+      if (ss.restarts != cp.seen_restarts) {
+        obs::Span::instant("cdcl.restart", "cdcl");
+        cp.seen_restarts = ss.restarts;
+      }
+      if (ss.learnt_deleted != cp.seen_deleted) {
+        obs::Span::instant("cdcl.reduce_db", "cdcl",
+                           {{"deleted", std::to_string(ss.learnt_deleted - cp.seen_deleted)}});
+        cp.seen_deleted = ss.learnt_deleted;
+      }
+    }
+    if (std::chrono::steady_clock::now() >= cp.deadline) return true;
+    if (has_bound_source() && --cp.countdown <= 0) {
+      cp.countdown = kPollConflictInterval;
+      const long long ext = observe_external(poll_bound_source());
+      if (ext < enforced_) {
+        cp.pending = ext;
+        return true;
+      }
+    }
+    return false;
+  };
+  const sat::SolveResult r = solver_.solve(interrupt, assumptions);
+  if (r == sat::SolveResult::Unknown && cp.pending != kNoBound) {
+    if (obs::TraceRecorder::enabled()) {
+      obs::Span::instant("cdcl.tighten_abort", "cdcl", {{"bound", std::to_string(cp.pending)}});
+    }
+    add_cost_bound(cp.pending);
+    return std::nullopt;
+  }
+  return r;
+}
+
+Outcome CdclEngine::minimize_descending(Checkpoints& cp) {
+  Outcome out;
   for (;;) {
     // Between-solve checkpoint: adopt any bound published while the previous
     // solve ran (and guarantee at least one poll per minimize call).
     poll_and_tighten();
-    // In-solve checkpoints ride the solver's conflict-boundary interrupt.
-    // Clauses cannot be added mid-solve, so a strictly tighter published
-    // bound aborts at the next conflict boundary and is enforced below
-    // before re-entering; the solver keeps learnt clauses, phases and
-    // activities, so nothing already derived is lost.
-    long long pending = kNoBound;
-    int countdown = kPollConflictInterval;
-    const auto interrupt = [&]() -> bool {
-      if (tracing) {
-        const sat::SolverStats& ss = solver_.stats();
-        if (ss.restarts != seen_restarts) {
-          obs::Span::instant("cdcl.restart", "cdcl");
-          seen_restarts = ss.restarts;
-        }
-        if (ss.learnt_deleted != seen_deleted) {
-          obs::Span::instant("cdcl.reduce_db", "cdcl",
-                             {{"deleted", std::to_string(ss.learnt_deleted - seen_deleted)}});
-          seen_deleted = ss.learnt_deleted;
-        }
-      }
-      if (std::chrono::steady_clock::now() >= deadline) return true;
-      if (has_bound_source() && --countdown <= 0) {
-        countdown = kPollConflictInterval;
-        const long long ext = observe_external(poll_bound_source());
-        if (ext < enforced_) {
-          pending = ext;
-          return true;
-        }
-      }
-      return false;
-    };
-    const sat::SolveResult r = solver_.solve(interrupt);
-    if (r == sat::SolveResult::Unknown && pending != kNoBound) {
-      if (obs::TraceRecorder::enabled()) {
-        obs::Span::instant("cdcl.tighten_abort", "cdcl", {{"bound", std::to_string(pending)}});
-      }
-      add_cost_bound(pending);
-      continue;
-    }
+    cp.countdown = kPollConflictInterval;
+    const std::optional<sat::SolveResult> solved = solve_checked(cp);
+    if (!solved) continue;
+    const sat::SolveResult r = *solved;
     if (r == sat::SolveResult::Unsatisfiable) {
       if (has_model_ && model_cost() <= external_limit_) {
         out.status = Status::Optimal;
@@ -349,7 +340,7 @@ Outcome CdclEngine::minimize_descending(std::chrono::steady_clock::time_point de
   }
 }
 
-Outcome CdclEngine::minimize_binary(std::chrono::steady_clock::time_point deadline) {
+Outcome CdclEngine::minimize_binary(Checkpoints& cp) {
   // Incremental binary search (Sec. 3.3 "set F to a fixed value"): every
   // probe runs on solver_ with the speculative bound asserted as an
   // *assumption* on a GTE output, never as a clause — the clause database
@@ -359,53 +350,15 @@ Outcome CdclEngine::minimize_binary(std::chrono::steady_clock::time_point deadli
   // interrupt as the descending loop; a tighter published bound aborts the
   // probe and shrinks the search window before the next one.
   Outcome out;
-  long long pending = kNoBound;
-  int countdown = kPollConflictInterval;
-  // Same milestone detection as the descending loop (see comment there).
-  const bool tracing = obs::TraceRecorder::enabled();
-  std::uint64_t seen_restarts = solver_.stats().restarts;
-  std::uint64_t seen_deleted = solver_.stats().learnt_deleted;
-  const auto interrupt = [&]() -> bool {
-    if (tracing) {
-      const sat::SolverStats& ss = solver_.stats();
-      if (ss.restarts != seen_restarts) {
-        obs::Span::instant("cdcl.restart", "cdcl");
-        seen_restarts = ss.restarts;
-      }
-      if (ss.learnt_deleted != seen_deleted) {
-        obs::Span::instant("cdcl.reduce_db", "cdcl",
-                           {{"deleted", std::to_string(ss.learnt_deleted - seen_deleted)}});
-        seen_deleted = ss.learnt_deleted;
-      }
-    }
-    if (std::chrono::steady_clock::now() >= deadline) return true;
-    if (has_bound_source() && --countdown <= 0) {
-      countdown = kPollConflictInterval;
-      const long long ext = observe_external(poll_bound_source());
-      if (ext < enforced_) {
-        pending = ext;
-        return true;
-      }
-    }
-    return false;
-  };
-
   // First solve under whatever is enforced so far, to obtain an upper bound.
   for (;;) {
-    pending = kNoBound;
-    const sat::SolveResult first = solver_.solve(interrupt);
-    if (first == sat::SolveResult::Unknown && pending != kNoBound) {
-      if (obs::TraceRecorder::enabled()) {
-        obs::Span::instant("cdcl.tighten_abort", "cdcl", {{"bound", std::to_string(pending)}});
-      }
-      add_cost_bound(pending);
-      continue;
-    }
-    if (first == sat::SolveResult::Unsatisfiable) {
+    const std::optional<sat::SolveResult> first = solve_checked(cp);
+    if (!first) continue;
+    if (*first == sat::SolveResult::Unsatisfiable) {
       out.status = Status::Unsat;  // no model at or below everything enforced
       return out;
     }
-    if (first == sat::SolveResult::Unknown) return budget_outcome();
+    if (*first == sat::SolveResult::Unknown) return budget_outcome();
     break;
   }
   snapshot_model();
@@ -433,7 +386,7 @@ Outcome CdclEngine::minimize_binary(std::chrono::steady_clock::time_point deadli
     const long long cap =
         (external_limit_ == kNoBound) ? hi : std::min(hi, external_limit_ + 1);
     if (lo >= cap) break;
-    if (std::chrono::steady_clock::now() >= deadline) return budget_outcome();
+    if (std::chrono::steady_clock::now() >= cp.deadline) return budget_outcome();
     const long long mid = lo + (cap - lo) / 2;
     // Assume objective <= mid: assert ¬(sum >= B') for the smallest
     // attainable B' > mid. hi is attainable and > mid, so B' exists; the
@@ -442,19 +395,10 @@ Outcome CdclEngine::minimize_binary(std::chrono::steady_clock::time_point deadli
     if (above == ge_.end()) {
       throw std::logic_error("CdclEngine::minimize_binary: no GTE output above probe bound");
     }
-    pending = kNoBound;
-    const sat::SolveResult r = solver_.solve(interrupt, {~above->second});
-    if (r == sat::SolveResult::Unknown) {
-      if (pending != kNoBound) {
-        if (obs::TraceRecorder::enabled()) {
-        obs::Span::instant("cdcl.tighten_abort", "cdcl", {{"bound", std::to_string(pending)}});
-      }
-        add_cost_bound(pending);  // window shrinks via cap next iteration
-        continue;
-      }
-      return budget_outcome();
-    }
-    if (r == sat::SolveResult::Unsatisfiable) {
+    const std::optional<sat::SolveResult> r = solve_checked(cp, {~above->second});
+    if (!r) continue;  // window shrinks via cap next iteration
+    if (*r == sat::SolveResult::Unknown) return budget_outcome();
+    if (*r == sat::SolveResult::Unsatisfiable) {
       if (solver_.failed_assumptions().empty()) {
         // Unsat independent of the assumption: nothing below the permanent
         // (external) bound exists at all. The hi-vs-external check below

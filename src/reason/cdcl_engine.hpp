@@ -29,6 +29,8 @@
 
 #pragma once
 
+#include <chrono>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <vector>
@@ -41,15 +43,8 @@ namespace qxmap::reason {
 /// ReasoningEngine implementation on top of sat::Solver.
 class CdclEngine final : public ReasoningEngine {
  public:
-  /// Honours QXMAP_SAT_RESTART=luby|glucose (default glucose) so restart
-  /// behaviour can be A/B-tested without a rebuild.
-  CdclEngine();
-
   /// Selects the optimization mode; call before minimize().
   void set_optimization_mode(OptimizationMode mode) noexcept override { mode_ = mode; }
-
-  /// Back-compat alias for set_optimization_mode.
-  void set_mode(OptimizationMode mode) noexcept { mode_ = mode; }
 
   int new_bool() override;
   void add_clause(const std::vector<int>& lits) override;
@@ -99,8 +94,26 @@ class CdclEngine final : public ReasoningEngine {
   /// bound set up front would have found nothing yet, so Unknown (the
   /// observed-vs-enforced contract, docs/concurrency.md).
   [[nodiscard]] Outcome budget_outcome() const;
-  Outcome minimize_descending(std::chrono::steady_clock::time_point deadline);
-  Outcome minimize_binary(std::chrono::steady_clock::time_point deadline);
+
+  /// Interrupt state of one minimize() call, shared by every solve its loop
+  /// runs: the budget deadline, the in-solve poll countdown, the bound a
+  /// poll aborted on, and the trace-milestone cursors.
+  struct Checkpoints {
+    std::chrono::steady_clock::time_point deadline;
+    /// Sampled once, so the disabled path costs nothing per conflict.
+    bool tracing = false;
+    std::uint64_t seen_restarts = 0;
+    std::uint64_t seen_deleted = 0;
+    int countdown = kPollConflictInterval;
+    long long pending = kNoBound;
+  };
+  /// One solve under the checkpoint interrupt. Returns nullopt when a
+  /// strictly tighter published bound aborted the solve; that bound is then
+  /// enforced and the caller re-solves.
+  std::optional<sat::SolveResult> solve_checked(Checkpoints& cp,
+                                                const std::vector<sat::Lit>& assumptions = {});
+  Outcome minimize_descending(Checkpoints& cp);
+  Outcome minimize_binary(Checkpoints& cp);
 
   /// Engine-level state captured by mark_prefix (the sat::Solver itself is
   /// copyable by design — contiguous arena + plain vectors).
@@ -115,7 +128,6 @@ class CdclEngine final : public ReasoningEngine {
   };
 
   sat::Solver solver_;
-  sat::RestartPolicy restart_policy_ = sat::RestartPolicy::Glucose;
   OptimizationMode mode_ = OptimizationMode::DescendingLinear;
   std::optional<long long> upper_bound_;
   /// Tightest bound ever passed to add_cost_bound (internal descents and

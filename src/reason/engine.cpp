@@ -123,7 +123,7 @@ std::unique_ptr<ReasoningEngine> make_engine(EngineKind kind) {
       return std::make_unique<Z3Engine>();
 #else
       // Z3 support compiled out: degrade to the built-in CDCL backend so
-      // callers that default to the paper's engine keep working.
+      // callers that request the paper's engine keep working.
       return std::make_unique<CdclEngine>();
 #endif
     case EngineKind::Cdcl: return std::make_unique<CdclEngine>();

@@ -44,19 +44,14 @@ enum class OptimizationMode {
   BinarySearch,      ///< bisect on the cost bound with assumption-literal probes
 };
 
-/// Counters of the cooperative bound protocol (docs/concurrency.md) plus
-/// backend search statistics. Poll timing and search trajectories depend on
-/// machine speed, so these are observability numbers, not part of any
-/// determinism guarantee. The solver-internal fields are filled by the CDCL
-/// backend (zero for Z3, which does not expose them).
+/// Counters of the cooperative bound protocol (docs/concurrency.md). Poll
+/// timing depends on machine speed, so these are observability numbers,
+/// not part of any determinism guarantee. Search statistics of the CDCL
+/// backend live in CdclEngine::solver_stats() and the qxmap_cdcl_* metrics.
 struct EngineStats {
   long long bound_polls = 0;        ///< bound-source consultations
   long long bound_tightenings = 0;  ///< polls that strictly tightened the
                                     ///< externally-known bound mid-solve
-  long long learnts_kept = 0;       ///< learnt clauses surviving the latest ReduceDB pass
-  long long learnts_deleted = 0;    ///< learnt clauses deleted by ReduceDB
-  long long restarts = 0;           ///< search restarts
-  double avg_lbd = 0.0;             ///< average LBD of learnt clauses
 };
 
 /// One engine instance owns one formula + objective. An engine is not

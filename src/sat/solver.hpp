@@ -6,8 +6,8 @@
 /// large search spaces). Feature set: two-watched-literal propagation over
 /// a contiguous clause arena (clause_arena.hpp), first-UIP clause learning
 /// with recursive minimization and LBD tracking, binary-heap VSIDS with
-/// phase saving (vsids_heap.hpp), glucose-style adaptive restarts (Luby
-/// selectable), periodic learnt-database reduction (reduce_db.hpp), and a
+/// phase saving (vsids_heap.hpp), glucose-style adaptive restarts,
+/// periodic learnt-database reduction (reduce_db.hpp), and a
 /// top-level simplify() pass, and MiniSat-style assumptions with
 /// final-conflict analysis. The optimisation loop of reason/cdcl_engine
 /// adds cost-bound clauses between incremental solve() calls (sound because
@@ -29,12 +29,6 @@ namespace qxmap::sat {
 
 /// Outcome of a solve() call.
 enum class SolveResult { Satisfiable, Unsatisfiable, Unknown };
-
-/// Restart schedule. Glucose-style (default) restarts when the recent
-/// learnt-clause LBD average exceeds the long-run average — aggressive on
-/// UNSAT-like search, blocked when the trail keeps growing (SAT-like).
-/// Luby is the classic universal schedule.
-enum class RestartPolicy { Glucose, Luby };
 
 /// Search statistics, cumulative over the solver's lifetime.
 struct SolverStats {
@@ -99,8 +93,6 @@ class Solver {
   /// call it explicitly before timing-sensitive work.
   bool simplify();
 
-  void set_restart_policy(RestartPolicy p) noexcept { restart_policy_ = p; }
-
   /// Model access after Satisfiable: value of `v` in the found model.
   [[nodiscard]] bool model_value(Var v) const;
   [[nodiscard]] bool model_value(Lit l) const { return model_value(l.var()) != l.negative(); }
@@ -138,7 +130,6 @@ class Solver {
   void reduce_learnts();
   void collect_garbage();
   void rebuild_watches();
-  [[nodiscard]] static std::uint64_t luby(std::uint64_t i);
 
   // --- state --------------------------------------------------------------
   ClauseArena arena_;
@@ -159,7 +150,6 @@ class Solver {
 
   VsidsHeap heap_;
   ReduceDb reduce_db_;
-  RestartPolicy restart_policy_ = RestartPolicy::Glucose;
 
   float clause_inc_ = 1.0f;
   bool unsat_ = false;

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/rng.hpp"
+#include "exact/types.hpp"
 #include "reason/cdcl_engine.hpp"
 
 namespace qxmap {
@@ -93,6 +94,67 @@ TEST_P(EngineTest, MakeOrAndEquality) {
   ASSERT_EQ(e->minimize(kBudget).status, Status::Optimal);
   EXPECT_TRUE(e->value(b));
   EXPECT_TRUE(e->value(o));
+}
+
+/// Status of a fresh engine holding `lits` under at-most-one, with input i
+/// fixed true iff bit i of `mask` is set.
+Status at_most_one_status(EngineKind kind, int n, std::uint32_t mask) {
+  auto e = make_engine(kind);
+  std::vector<int> lits;
+  for (int i = 0; i < n; ++i) lits.push_back(e->new_bool() + 1);
+  e->add_at_most_one(lits);
+  for (int i = 0; i < n; ++i) {
+    const int lit = lits[static_cast<std::size_t>(i)];
+    e->add_clause({((mask >> i) & 1u) != 0 ? lit : -lit});
+  }
+  return e->minimize(kBudget).status;
+}
+
+TEST_P(EngineTest, LadderAtMostOneAdmitsExactlyTheSingletons) {
+  // n > 6 takes the sequential encoding that Eqs. (1) and (3) reach on
+  // wide architectures and on the n! permutation choices for n >= 4.
+  for (const int n : {7, 10}) {
+    EXPECT_EQ(at_most_one_status(GetParam(), n, 0u), Status::Optimal) << "n=" << n;
+    for (int i = 0; i < n; ++i) {
+      EXPECT_EQ(at_most_one_status(GetParam(), n, 1u << i), Status::Optimal)
+          << "n=" << n << " true=" << i;
+      for (int j = i + 1; j < n; ++j) {
+        EXPECT_EQ(at_most_one_status(GetParam(), n, (1u << i) | (1u << j)), Status::Unsat)
+            << "n=" << n << " true=" << i << "," << j;
+      }
+    }
+  }
+}
+
+TEST_P(EngineTest, MakeOrOfNothingIsFixedFalse) {
+  auto free_run = make_engine(GetParam());
+  const int t = free_run->make_or({});
+  ASSERT_EQ(free_run->minimize(kBudget).status, Status::Optimal);
+  EXPECT_FALSE(free_run->value(t));
+
+  auto forced = make_engine(GetParam());
+  forced->add_clause({forced->make_or({}) + 1});
+  EXPECT_EQ(forced->minimize(kBudget).status, Status::Unsat);
+}
+
+TEST_P(EngineTest, ImpliesEqualTruthTable) {
+  for (const bool antecedent : {false, true}) {
+    for (const bool av : {false, true}) {
+      for (const bool bv : {false, true}) {
+        auto e = make_engine(GetParam());
+        const int c = e->new_bool() + 1;
+        const int a = e->new_bool() + 1;
+        const int b = e->new_bool() + 1;
+        e->add_implies_equal(c, a, b);
+        e->add_clause({antecedent ? c : -c});
+        e->add_clause({av ? a : -a});
+        e->add_clause({bv ? b : -b});
+        const Status expected = !antecedent || av == bv ? Status::Optimal : Status::Unsat;
+        EXPECT_EQ(e->minimize(kBudget).status, expected)
+            << "antecedent=" << antecedent << " a=" << av << " b=" << bv;
+      }
+    }
+  }
 }
 
 /// Brute-force reference for small weighted MaxSAT instances.
@@ -203,6 +265,12 @@ TEST(EngineFactory, Names) {
   EXPECT_EQ(reason::to_string(EngineKind::Cdcl), "cdcl");
 }
 
+TEST(EngineFactory, DefaultExactEngineIsTheOneThatRuns) {
+  // ExactOptions must not default to a backend the build degrades away.
+  const EngineKind kind = exact::ExactOptions{}.engine;
+  EXPECT_EQ(make_engine(kind)->name(), reason::to_string(kind));
+}
+
 TEST(CdclBinarySearch, MatchesDescendingLinearOnRandomInstances) {
   // Sec. 3.3 sketches both schemes; they must agree on the optimum.
   for (std::uint64_t seed = 100; seed < 110; ++seed) {
@@ -223,7 +291,7 @@ TEST(CdclBinarySearch, MatchesDescendingLinearOnRandomInstances) {
 
     const auto run = [&](reason::OptimizationMode mode) {
       reason::CdclEngine e;
-      e.set_mode(mode);
+      e.set_optimization_mode(mode);
       for (int v = 0; v < inst.num_vars; ++v) e.new_bool();
       for (const auto& cl : inst.clauses) e.add_clause(cl);
       for (const auto& [var, w] : inst.costs) e.add_cost(var, w);
@@ -250,7 +318,7 @@ TEST(CdclBinarySearch, MatchesDescendingLinearOnRandomInstances) {
 
 TEST(CdclBinarySearch, UnsatReported) {
   reason::CdclEngine e;
-  e.set_mode(reason::OptimizationMode::BinarySearch);
+  e.set_optimization_mode(reason::OptimizationMode::BinarySearch);
   const int v = e.new_bool();
   e.add_clause({v + 1});
   e.add_clause({-(v + 1)});
