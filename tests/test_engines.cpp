@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <functional>
 #include <limits>
+#include <tuple>
 
 #include "common/rng.hpp"
 #include "exact/types.hpp"
@@ -122,6 +125,130 @@ TEST_P(EngineTest, LadderAtMostOneAdmitsExactlyTheSingletons) {
         EXPECT_EQ(at_most_one_status(GetParam(), n, (1u << i) | (1u << j)), Status::Unsat)
             << "n=" << n << " true=" << i << "," << j;
       }
+    }
+  }
+}
+
+/// Every assignment of the inputs `build` returns (positive literals) that
+/// extends to a model of the formula it adds, as bitmasks. An engine holds
+/// one formula, so each round rebuilds a fresh engine with the models found
+/// so far blocked.
+std::vector<std::uint32_t> input_models(
+    EngineKind kind, const std::function<std::vector<int>(reason::ReasoningEngine&)>& build) {
+  std::vector<std::vector<int>> blocked;
+  std::vector<std::uint32_t> models;
+  while (models.size() <= 64) {
+    auto e = make_engine(kind);
+    const auto lits = build(*e);
+    for (const auto& clause : blocked) e->add_clause(clause);
+    if (e->minimize(kBudget).status != Status::Optimal) break;
+    std::uint32_t mask = 0;
+    std::vector<int> block;
+    for (std::size_t i = 0; i < lits.size(); ++i) {
+      const bool v = e->value(lits[i] - 1);
+      if (v) mask |= 1u << i;
+      block.push_back(v ? -lits[i] : lits[i]);
+    }
+    models.push_back(mask);
+    blocked.push_back(std::move(block));
+  }
+  return models;
+}
+
+/// `n` fresh input variables as positive literals.
+std::vector<int> fresh_inputs(reason::ReasoningEngine& e, int n) {
+  std::vector<int> lits;
+  for (int i = 0; i < n; ++i) lits.push_back(e.new_bool() + 1);
+  return lits;
+}
+
+class EngineAtMostOne : public ::testing::TestWithParam<std::tuple<EngineKind, int>> {};
+
+TEST_P(EngineAtMostOne, AllowsExactlyNPlusOneModels) {
+  // Sizes on both sides of the pairwise/ladder switch at n = 6.
+  const auto [kind, n] = GetParam();
+  const auto models = input_models(kind, [n = n](reason::ReasoningEngine& e) {
+    auto lits = fresh_inputs(e, n);
+    e.add_at_most_one(lits);
+    return lits;
+  });
+  // The empty assignment plus the n singletons.
+  EXPECT_EQ(models.size(), static_cast<std::size_t>(n) + 1);
+  for (const auto mask : models) EXPECT_LE(std::popcount(mask), 1) << "mask " << mask;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothEngines, EngineAtMostOne,
+    ::testing::Combine(::testing::ValuesIn(distinct_engine_kinds()),
+                       ::testing::Values(1, 2, 3, 6, 7, 10, 15)));
+
+class EngineExactlyOne : public ::testing::TestWithParam<std::tuple<EngineKind, int>> {};
+
+TEST_P(EngineExactlyOne, AllowsExactlyNModels) {
+  const auto [kind, n] = GetParam();
+  const auto models = input_models(kind, [n = n](reason::ReasoningEngine& e) {
+    auto lits = fresh_inputs(e, n);
+    e.add_exactly_one(lits);
+    return lits;
+  });
+  EXPECT_EQ(models.size(), static_cast<std::size_t>(n));
+  for (const auto mask : models) EXPECT_EQ(std::popcount(mask), 1) << "mask " << mask;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothEngines, EngineExactlyOne,
+    ::testing::Combine(::testing::ValuesIn(distinct_engine_kinds()),
+                       ::testing::Values(1, 2, 5, 8, 12)));
+
+TEST_P(EngineTest, AtLeastOneExcludesOnlyTheAllFalseAssignment) {
+  const auto models = input_models(GetParam(), [](reason::ReasoningEngine& e) {
+    auto lits = fresh_inputs(e, 3);
+    e.add_at_least_one(lits);
+    return lits;
+  });
+  EXPECT_EQ(models.size(), 7u);
+  for (const auto mask : models) EXPECT_NE(mask, 0u);
+}
+
+TEST_P(EngineTest, MakeAndTruthTable) {
+  for (const bool av : {false, true}) {
+    for (const bool bv : {false, true}) {
+      auto e = make_engine(GetParam());
+      const int a = e->new_bool() + 1;
+      const int b = e->new_bool() + 1;
+      const int t = e->make_and(a, b);
+      e->add_clause({av ? a : -a});
+      e->add_clause({bv ? b : -b});
+      ASSERT_EQ(e->minimize(kBudget).status, Status::Optimal);
+      EXPECT_EQ(e->value(t), av && bv) << "a=" << av << " b=" << bv;
+    }
+  }
+}
+
+TEST_P(EngineTest, MakeOrTruthTable) {
+  for (std::uint32_t mask = 0; mask < 8; ++mask) {
+    auto e = make_engine(GetParam());
+    const auto lits = fresh_inputs(*e, 3);
+    const int t = e->make_or(lits);
+    for (std::size_t i = 0; i < lits.size(); ++i) {
+      e->add_clause({((mask >> i) & 1u) != 0 ? lits[i] : -lits[i]});
+    }
+    ASSERT_EQ(e->minimize(kBudget).status, Status::Optimal);
+    EXPECT_EQ(e->value(t), mask != 0) << "mask " << mask;
+  }
+}
+
+TEST_P(EngineTest, AddEqualLitsForcesEquality) {
+  for (const bool av : {false, true}) {
+    for (const bool bv : {false, true}) {
+      auto e = make_engine(GetParam());
+      const int a = e->new_bool() + 1;
+      const int b = e->new_bool() + 1;
+      e->add_equal_lits(a, b);
+      e->add_clause({av ? a : -a});
+      e->add_clause({bv ? b : -b});
+      EXPECT_EQ(e->minimize(kBudget).status, av == bv ? Status::Optimal : Status::Unsat)
+          << "a=" << av << " b=" << bv;
     }
   }
 }

@@ -304,6 +304,18 @@ TEST(SatSolver, ReduceDbFiresOnHardInstanceAndStaysCorrect) {
   EXPECT_GT(s.stats().learnt_kept, 0u);
 }
 
+TEST(SatSolver, GlucoseRestartsFireOnlyOnAFullLbdWindow) {
+  // The Glucose rule compares the average LBD of the last 50 learnt
+  // clauses with the long-run average and empties that window on every
+  // restart, so PHP(8,7) must restart, but never twice within 50 conflicts.
+  constexpr std::uint64_t kRecentLbdWindow = 50;
+  Solver s;
+  build_php(s, 8, 7);
+  EXPECT_EQ(s.solve(), SolveResult::Unsatisfiable);
+  EXPECT_GT(s.stats().restarts, 0u);
+  EXPECT_LE(s.stats().restarts * kRecentLbdWindow, s.stats().conflicts);
+}
+
 TEST(SatSolver, LearntsSurviveIncrementalStrengthening) {
   // The optimiser's pattern: solve, add a tightening clause, solve again.
   // Learnt state (and the ReduceDB schedule) persists across calls without
