@@ -38,7 +38,7 @@ Var Solver::new_var() {
   reason_.push_back(kCRefUndef);
   level_.push_back(0);
   saved_phase_.push_back(false);
-  seen_.push_back(false);
+  seen_.push_back(kSeenUndef);
   level_stamp_.resize(assign_.size() + 1, 0);  // decision levels run 0..num_vars
   watches_.emplace_back();
   watches_.emplace_back();
@@ -53,10 +53,11 @@ bool Solver::add_clause(std::vector<Lit> lits) {
   }
   std::sort(lits.begin(), lits.end());
   // Dedup; detect tautologies; drop level-0 falsified literals and
-  // clauses satisfied at level 0.
-  std::vector<Lit> cleaned;
+  // clauses satisfied at level 0. Compacts `lits` in place.
+  std::size_t kept = 0;
   Lit prev = Lit::from_index(-2);
-  for (const Lit l : lits) {
+  for (std::size_t i = 0; i < lits.size(); ++i) {
+    const Lit l = lits[i];
     if (l.var() < 0 || l.var() >= num_vars()) {
       throw std::out_of_range("Solver::add_clause: unknown variable");
     }
@@ -66,20 +67,21 @@ bool Solver::add_clause(std::vector<Lit> lits) {
     const Value val = value(l);
     if (val == Value::True && level_[static_cast<std::size_t>(l.var())] == 0) return true;
     if (val == Value::False && level_[static_cast<std::size_t>(l.var())] == 0) continue;
-    cleaned.push_back(l);
+    lits[kept++] = l;
   }
+  lits.resize(kept);
 
-  if (cleaned.empty()) {
+  if (lits.empty()) {
     unsat_ = true;
     return false;
   }
-  if (cleaned.size() == 1) {
-    if (value(cleaned[0]) == Value::True) return true;
-    if (value(cleaned[0]) == Value::False) {
+  if (lits.size() == 1) {
+    if (value(lits[0]) == Value::True) return true;
+    if (value(lits[0]) == Value::False) {
       unsat_ = true;
       return false;
     }
-    enqueue(cleaned[0], kCRefUndef);
+    enqueue(lits[0], kCRefUndef);
     if (propagate() != kCRefUndef) {
       unsat_ = true;
       return false;
@@ -87,7 +89,7 @@ bool Solver::add_clause(std::vector<Lit> lits) {
     return true;
   }
 
-  const CRef cr = arena_.alloc(cleaned, /*learnt=*/false);
+  const CRef cr = arena_.alloc(lits, /*learnt=*/false);
   clauses_.push_back(cr);
   attach_clause(cr);
   return true;
@@ -188,8 +190,8 @@ void Solver::analyze(CRef conflict, std::vector<Lit>& learnt, int& backjump_leve
     for (std::uint32_t k = start; k < size; ++k) {
       const Lit q = c.lit(k);
       const auto v = static_cast<std::size_t>(q.var());
-      if (!seen_[v] && level_[v] > 0) {
-        seen_[v] = true;
+      if (seen_[v] == kSeenUndef && level_[v] > 0) {
+        seen_[v] = kSeenSource;
         heap_.bump(q.var());
         if (level_[v] >= current_level) {
           ++counter;
@@ -201,10 +203,10 @@ void Solver::analyze(CRef conflict, std::vector<Lit>& learnt, int& backjump_leve
     // Walk the trail backwards to the next marked literal.
     do {
       --trail_index;
-    } while (!seen_[static_cast<std::size_t>(trail_[trail_index].var())]);
+    } while (seen_[static_cast<std::size_t>(trail_[trail_index].var())] == kSeenUndef);
     p = trail_[trail_index];
     cr = reason_[static_cast<std::size_t>(p.var())];
-    seen_[static_cast<std::size_t>(p.var())] = false;
+    seen_[static_cast<std::size_t>(p.var())] = kSeenUndef;
     --counter;
     if (counter == 0) break;
     // Reason must exist: p is not a decision while counter > 0.
@@ -214,13 +216,13 @@ void Solver::analyze(CRef conflict, std::vector<Lit>& learnt, int& backjump_leve
   }
   learnt[0] = ~p;
 
-  // Mark for redundancy check, then minimize the clause.
+  // Minimise the clause. learnt[1..] are still marked as sources; a dropped
+  // literal stays a source (it is implied by the ones kept). Every mark set
+  // from here on is recorded in analyze_toclear_ and wiped once at the end.
   std::uint32_t abstract_levels = 0;
-  std::vector<Var> to_clear;
-  to_clear.reserve(learnt.size());
+  analyze_toclear_.clear();
   for (std::size_t i = 1; i < learnt.size(); ++i) {
-    seen_[static_cast<std::size_t>(learnt[i].var())] = true;
-    to_clear.push_back(learnt[i].var());
+    analyze_toclear_.push_back(learnt[i].var());
     abstract_levels |= 1u << (level_[static_cast<std::size_t>(learnt[i].var())] & 31);
   }
   std::size_t kept = 1;
@@ -230,7 +232,7 @@ void Solver::analyze(CRef conflict, std::vector<Lit>& learnt, int& backjump_leve
       learnt[kept++] = learnt[i];
     }
   }
-  for (const Var v : to_clear) seen_[static_cast<std::size_t>(v)] = false;
+  for (const Var v : analyze_toclear_) seen_[static_cast<std::size_t>(v)] = kSeenUndef;
   learnt.resize(kept);
 
   lbd = compute_lbd(learnt);
@@ -279,38 +281,51 @@ std::uint32_t Solver::clause_lbd(ClauseView c) {
 }
 
 bool Solver::literal_redundant(Lit l, std::uint32_t abstract_levels) {
-  // DFS over the implication graph: l is redundant if every path to decisions
-  // stays within literals already in the learnt clause.
-  std::vector<Lit> stack{l};
-  std::vector<Var> cleared;
-  while (!stack.empty()) {
-    const Lit cur = stack.back();
-    stack.pop_back();
-    const auto v = static_cast<std::size_t>(cur.var());
-    const CRef cr = reason_[v];
-    if (cr == kCRefUndef) {
-      // Reached a decision that is not part of the clause: not redundant.
-      for (const Var cv : cleared) seen_[static_cast<std::size_t>(cv)] = false;
-      return false;
-    }
-    const ClauseView c = arena_.view(cr);
-    const std::uint32_t size = c.size();
-    for (std::uint32_t k = 1; k < size; ++k) {
-      const Lit q = c.lit(k);
+  // Iterative DFS over the implication graph (MiniSat 2.2's litRedundant):
+  // a literal is redundant iff every antecedent is a source, a level-0 fact
+  // or itself redundant. Verdicts persist in seen_ for the rest of this
+  // analyze(): a node whose reason is exhausted is removable; reaching a
+  // decision, a literal on a level outside the clause, or a failed node
+  // fails every unmarked node on the current path. `l` must have a reason.
+  redundant_path_.clear();
+  Lit p = l;
+  ClauseView c = arena_.view(reason_[static_cast<std::size_t>(p.var())]);
+  for (std::uint32_t i = 1;; ++i) {
+    if (i < c.size()) {
+      const Lit q = c.lit(i);
       const auto qv = static_cast<std::size_t>(q.var());
-      if (seen_[qv] || level_[qv] == 0) continue;
-      if (reason_[qv] == kCRefUndef || ((1u << (level_[qv] & 31)) & abstract_levels) == 0) {
-        for (const Var cv : cleared) seen_[static_cast<std::size_t>(cv)] = false;
+      const std::uint8_t mark = seen_[qv];
+      if (level_[qv] == 0 || mark == kSeenSource || mark == kSeenRemovable) continue;
+      if (mark == kSeenFailed || reason_[qv] == kCRefUndef ||
+          ((1u << (level_[qv] & 31)) & abstract_levels) == 0) {
+        redundant_path_.push_back({0, p});
+        for (const PathEntry& e : redundant_path_) {
+          const auto ev = static_cast<std::size_t>(e.lit.var());
+          if (seen_[ev] == kSeenUndef) {
+            seen_[ev] = kSeenFailed;
+            analyze_toclear_.push_back(e.lit.var());
+          }
+        }
         return false;
       }
-      seen_[qv] = true;
-      cleared.push_back(q.var());
-      stack.push_back(q);
+      // Descend into q; the loop increment resumes its reason at index 1.
+      redundant_path_.push_back({i, p});
+      i = 0;
+      p = q;
+      c = arena_.view(reason_[qv]);
+    } else {
+      const auto pv = static_cast<std::size_t>(p.var());
+      if (seen_[pv] == kSeenUndef) {
+        seen_[pv] = kSeenRemovable;
+        analyze_toclear_.push_back(p.var());
+      }
+      if (redundant_path_.empty()) return true;
+      i = redundant_path_.back().index;
+      p = redundant_path_.back().lit;
+      c = arena_.view(reason_[static_cast<std::size_t>(p.var())]);
+      redundant_path_.pop_back();
     }
   }
-  // Redundant: keep marks cleared only for the temporaries.
-  for (const Var cv : cleared) seen_[static_cast<std::size_t>(cv)] = false;
-  return true;
 }
 
 void Solver::backtrack(int target_level) {
@@ -463,11 +478,11 @@ void Solver::analyze_final(Lit failed) {
   failed_assumptions_.push_back(failed);
   const auto fv = static_cast<std::size_t>(failed.var());
   if (trail_limits_.empty() || level_[fv] == 0) return;
-  seen_[fv] = true;
+  seen_[fv] = kSeenSource;
   for (std::size_t i = trail_.size(); i-- > trail_limits_[0];) {
     const auto v = static_cast<std::size_t>(trail_[i].var());
-    if (!seen_[v]) continue;
-    seen_[v] = false;
+    if (seen_[v] == kSeenUndef) continue;
+    seen_[v] = kSeenUndef;
     const CRef cr = reason_[v];
     if (cr == kCRefUndef) {
       // A decision above level 0 — while assumptions are being enqueued,
@@ -479,10 +494,10 @@ void Solver::analyze_final(Lit failed) {
     const std::uint32_t size = c.size();
     for (std::uint32_t k = 1; k < size; ++k) {  // lit(0) is the propagated literal
       const auto qv = static_cast<std::size_t>(c.lit(k).var());
-      if (level_[qv] > 0) seen_[qv] = true;
+      if (level_[qv] > 0) seen_[qv] = kSeenSource;
     }
   }
-  seen_[fv] = false;
+  seen_[fv] = kSeenUndef;
 }
 
 SolveResult Solver::solve(const std::function<bool()>& interrupt,

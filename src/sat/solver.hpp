@@ -5,7 +5,9 @@
 /// (the paper uses Z3; Sec. 3.1 only requires *some* engine that handles
 /// large search spaces). Feature set: two-watched-literal propagation over
 /// a contiguous clause arena (clause_arena.hpp), first-UIP clause learning
-/// with recursive minimization and LBD tracking, binary-heap VSIDS with
+/// with memoised recursive minimisation (MiniSat 2.2's litRedundant: an
+/// iterative DFS marking nodes removable or failed, no per-conflict
+/// allocation) and on-the-fly LBD tracking, binary-heap VSIDS with
 /// phase saving (vsids_heap.hpp), glucose-style adaptive restarts,
 /// periodic learnt-database reduction (reduce_db.hpp), and a
 /// top-level simplify() pass, and MiniSat-style assumptions with
@@ -144,7 +146,21 @@ class Solver {
   std::vector<CRef> reason_;
   std::vector<int> level_;
   std::vector<bool> saved_phase_;
-  std::vector<bool> seen_;             // scratch for analyze()
+  // Per-variable marks for conflict analysis. kSeenSource tags a literal
+  // of the clause being learnt (analyze_final() uses it as a plain "reached"
+  // bit); minimisation memoises its verdicts as kSeenRemovable/kSeenFailed.
+  // Every variable analyze() marks is listed in analyze_toclear_, so one
+  // pass resets them; between analyze() calls every mark is kSeenUndef.
+  enum : std::uint8_t { kSeenUndef, kSeenSource, kSeenRemovable, kSeenFailed };
+  std::vector<std::uint8_t> seen_;
+  std::vector<Var> analyze_toclear_;
+  // DFS path of literal_redundant(): a node and the index of the reason
+  // literal it resumes at.
+  struct PathEntry {
+    std::uint32_t index;
+    Lit lit;
+  };
+  std::vector<PathEntry> redundant_path_;
   std::vector<std::uint64_t> level_stamp_;  // scratch for compute_lbd()
   std::uint64_t stamp_ = 0;
 

@@ -3,9 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 
+#include "arch/architectures.hpp"
+#include "arch/swap_costs.hpp"
+#include "bench_circuits/table1_suite.hpp"
 #include "common/rng.hpp"
+#include "exact/encoder.hpp"
+#include "exact/strategies.hpp"
+#include "reason/cdcl_engine.hpp"
 
 namespace qxmap {
 namespace {
@@ -81,13 +88,17 @@ TEST(SatSolver, XorChainUnsat) {
 
 /// Pigeonhole principle PHP(n+1, n): n+1 pigeons into n holes — classic
 /// resolution-hard UNSAT family that exercises clause learning.
-void build_php(Solver& s, int pigeons, int holes) {
+/// Variables x[p][h] ("pigeon p sits in hole h") are created in row-major
+/// order after any existing ones. A valid `guard` literal joins every
+/// pigeon's "some hole" clause, so the formula is UNSAT only under ¬guard.
+void build_php(Solver& s, int pigeons, int holes, Lit guard = Lit::from_index(-2)) {
   std::vector<std::vector<sat::Var>> x(static_cast<std::size_t>(pigeons));
   for (auto& row : x) {
     for (int h = 0; h < holes; ++h) row.push_back(s.new_var());
   }
   for (int p = 0; p < pigeons; ++p) {
     std::vector<Lit> clause;
+    if (guard.index() >= 0) clause.push_back(guard);
     for (int h = 0; h < holes; ++h) clause.push_back(pos(x[static_cast<std::size_t>(p)][static_cast<std::size_t>(h)]));
     s.add_clause(clause);
   }
@@ -304,6 +315,68 @@ TEST(SatSolver, ReduceDbFiresOnHardInstanceAndStaysCorrect) {
   EXPECT_GT(s.stats().learnt_kept, 0u);
 }
 
+// --- Golden work counters --------------------------------------------------
+//
+// The search is deterministic, so its work counters are a fingerprint of
+// every decision the solver makes: propagation order, first-UIP analysis,
+// clause minimisation, LBD, restarts and ReduceDB. A change that only makes
+// the solver faster must leave these numbers exactly as they are; a change
+// that moves them changed the search and must say so.
+
+void expect_counters(const sat::SolverStats& got, const sat::SolverStats& want) {
+  EXPECT_EQ(got.conflicts, want.conflicts);
+  EXPECT_EQ(got.decisions, want.decisions);
+  EXPECT_EQ(got.propagations, want.propagations);
+  EXPECT_EQ(got.learned, want.learned);
+  EXPECT_EQ(got.lbd_sum, want.lbd_sum);
+  EXPECT_EQ(got.restarts, want.restarts);
+  EXPECT_EQ(got.learnt_deleted, want.learnt_deleted);
+}
+
+TEST(SatSolver, SearchCountersArePinned) {
+  Solver s;
+  build_php(s, 8, 7);
+  ASSERT_EQ(s.solve(), SolveResult::Unsatisfiable);
+  sat::SolverStats want;
+  want.conflicts = 5636;
+  want.decisions = 6832;
+  want.propagations = 99673;
+  want.learned = 5635;
+  want.lbd_sum = 53126;
+  want.restarts = 16;
+  want.learnt_deleted = 2575;
+  expect_counters(s.stats(), want);
+}
+
+TEST(SatSolver, Table1RowSearchCountersArePinned) {
+  // One Table-1 row end to end through the CDCL engine: the Sec. 3
+  // encoding of 4gt11_82 on QX4 under the All strategy, minimised by the
+  // descending loop to a proven optimum.
+  const auto cm = arch::ibm_qx4();
+  const arch::SwapCostTable table(cm);
+  const Circuit circuit = bench::table1_benchmark("4gt11_82").build();
+  std::vector<Gate> cnots;
+  for (const auto& g : circuit) {
+    if (g.is_cnot()) cnots.push_back(g);
+  }
+  const auto points = exact::permutation_points(cnots, exact::PermutationStrategy::All, cm);
+  reason::CdclEngine engine;
+  const exact::Encoding enc(engine, cnots, circuit.num_qubits(), cm, table, points,
+                            exact::CostModel{}.resolved(cm));
+  const auto out = engine.minimize(std::chrono::milliseconds(600000));
+  ASSERT_EQ(out.status, reason::Status::Optimal);
+  EXPECT_EQ(out.cost, 33);
+  sat::SolverStats want;
+  want.conflicts = 7307;
+  want.decisions = 65124;
+  want.propagations = 5612193;
+  want.learned = 7306;
+  want.lbd_sum = 337621;
+  want.restarts = 51;
+  want.learnt_deleted = 4168;
+  expect_counters(engine.solver_stats(), want);
+}
+
 TEST(SatSolver, GlucoseRestartsFireOnlyOnAFullLbdWindow) {
   // The Glucose rule compares the average LBD of the last 50 learnt
   // clauses with the long-run average and empties that window on every
@@ -435,6 +508,52 @@ TEST(SatSolver, ConflictUnderAssumptionLearnsOnlyPermanentFacts) {
   EXPECT_EQ(s.stats().conflicts, conflicts_after_probe);
   EXPECT_EQ(s.solve(), SolveResult::Satisfiable);
   EXPECT_TRUE(s.model_value(u));
+}
+
+TEST(SatSolver, AssumptionProbesAfterAHardSearchMatchAFreshSolver) {
+  // Clause minimisation marks variables in the per-variable scratch that
+  // analyze_final() later reads to collect failed assumptions; a mark left
+  // behind would drag unrelated assumptions into the failed set. After a
+  // refutation of about a thousand conflicts, every probe must answer
+  // exactly as a fresh solver holding the same clauses does.
+  constexpr int kPigeons = 7;
+  constexpr int kHoles = 6;
+  constexpr int kExtra = 6;
+  const sat::Var act = 0;  // ¬act switches PHP(7,6) on
+  const auto x = [](int p, int h) { return static_cast<sat::Var>(1 + p * kHoles + h); };
+  const auto e = [](int i) { return static_cast<sat::Var>(1 + kPigeons * kHoles + i); };
+  const auto build = [&](Solver& s) {
+    (void)s.new_var();  // act
+    build_php(s, kPigeons, kHoles, pos(act));
+    for (int i = 0; i < kExtra; ++i) (void)s.new_var();
+    // A side formula over the extra vars: e0 -> e1 -> e2, e3 -> ¬e2, e4 ∨ e5.
+    s.add_clause(neg(e(0)), pos(e(1)));
+    s.add_clause(neg(e(1)), pos(e(2)));
+    s.add_clause(neg(e(3)), neg(e(2)));
+    s.add_clause(pos(e(4)), pos(e(5)));
+  };
+
+  Solver searched;
+  build(searched);
+  ASSERT_EQ(searched.solve(nullptr, {neg(act)}), SolveResult::Unsatisfiable);
+  ASSERT_GT(searched.stats().conflicts, 500u);
+  ASSERT_FALSE(searched.proven_unsat());
+
+  const std::vector<std::vector<Lit>> probes{
+      {pos(e(0)), pos(x(0, 0)), pos(x(1, 1)), pos(e(3))},
+      {pos(x(0, 0)), pos(e(3)), pos(e(0))},
+      {pos(x(2, 3)), neg(e(4)), neg(e(5))},
+      {pos(x(0, 0)), pos(x(1, 1)), pos(e(0))},
+      {pos(act), pos(e(1)), neg(e(2))},
+      {neg(act)},
+  };
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    Solver fresh;
+    build(fresh);
+    const SolveResult want = fresh.solve(nullptr, probes[i]);
+    EXPECT_EQ(searched.solve(nullptr, probes[i]), want) << "probe " << i;
+    EXPECT_EQ(searched.failed_assumptions(), fresh.failed_assumptions()) << "probe " << i;
+  }
 }
 
 TEST(SatSolver, InterruptDuringAssumptionProbeReturnsUnknown) {
