@@ -7,7 +7,6 @@
 #include <benchmark/benchmark.h>
 
 #include "arch/architectures.hpp"
-#include "arch/swap_costs.hpp"
 #include "bench_circuits/generators.hpp"
 #include "exact/exact_mapper.hpp"
 #include "exact/reference_search.hpp"
@@ -60,12 +59,11 @@ void BM_ReferenceDpScaling(benchmark::State& state) {
   std::vector<std::size_t> points;
   for (std::size_t k = 1; k < cnots.size(); ++k) points.push_back(k);
   const auto cm = arch::ibm_qx4();
-  const arch::SwapCostTable table(cm);
   exact::CostModel costs;
   costs.swap_cost = 7;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        exact::minimal_cost_reference(cnots, 4, cm, table, points, costs));
+        exact::minimal_cost_reference(cnots, 4, cm, points, costs));
   }
 }
 BENCHMARK(BM_ReferenceDpScaling)->Arg(2)->Arg(6)->Arg(10)->Arg(20)->Arg(40)

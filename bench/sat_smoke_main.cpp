@@ -3,10 +3,11 @@
 /// committed BENCH_table1.json at the committed budget and fails (exit 1)
 /// if any of them no longer proves or any proven cost drifts. Proven costs
 /// are deterministic (docs/benchmarks.md), so a drift is a correctness
-/// event; a lost proof is a solver-performance regression.
+/// event; a lost proof is a solver-performance regression. With
+/// `--engine dp` it checks the default exact engine against the same file.
 ///
 /// Usage: bench_sat_smoke [--smoke] [--baseline PATH] [--budget-ms N]
-///                        [--mode descending|binary|both]
+///                        [--mode descending|binary|both] [--engine cdcl|dp]
 ///   --smoke         no-op flag naming the CI mode (kept for readability)
 ///   --baseline PATH BENCH_table1.json to check against (default:
 ///                   ./BENCH_table1.json)
@@ -15,7 +16,13 @@
 ///   --mode M        which optimisation strategy re-proves the rows:
 ///                   the descending-bound loop, the incremental
 ///                   assumption-probe binary search, or both in sequence
-///                   (default both — proven costs must agree either way)
+///                   (default both — proven costs must agree either way;
+///                   ignored by --engine dp)
+///   --engine E      cdcl (default) re-proves the proven rows through the
+///                   SAT path. dp runs the layout DP on every row instead:
+///                   each proven row must reproduce its cost exactly and
+///                   every other row must prove at or below its recorded
+///                   best, so the baseline's open rows are checked too
 ///
 /// Unlike the bench_* suites this is a plain CLI (no Google-Benchmark
 /// dependency) so the quick CI gate can run it from the test build.
@@ -100,6 +107,7 @@ int main(int argc, char** argv) {
   std::string baseline_path = "BENCH_table1.json";
   long long budget_ms = -1;
   std::string mode = "both";
+  reason::EngineKind engine = reason::EngineKind::Cdcl;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--smoke") continue;
@@ -113,6 +121,13 @@ int main(int argc, char** argv) {
         std::cerr << "bench_sat_smoke: --mode must be descending, binary or both\n";
         return 2;
       }
+    } else if (arg == "--engine" && i + 1 < argc) {
+      const std::string name = argv[++i];
+      if (name != "cdcl" && name != "dp") {
+        std::cerr << "bench_sat_smoke: --engine must be cdcl or dp\n";
+        return 2;
+      }
+      engine = reason::engine_kind(name);
     } else {
       std::cerr << "bench_sat_smoke: unknown argument '" << arg << "'\n";
       return 2;
@@ -128,28 +143,30 @@ int main(int argc, char** argv) {
   }
   if (budget_ms <= 0) budget_ms = baseline.budget_ms;
 
+  const bool dp = engine == reason::EngineKind::Dp;
   std::vector<reason::OptimizationMode> modes;
-  if (mode != "binary") modes.push_back(reason::OptimizationMode::DescendingLinear);
-  if (mode != "descending") modes.push_back(reason::OptimizationMode::BinarySearch);
+  if (dp || mode != "binary") modes.push_back(reason::OptimizationMode::DescendingLinear);
+  if (!dp && mode != "descending") modes.push_back(reason::OptimizationMode::BinarySearch);
 
   int checked = 0;
   int failed = 0;
   for (const auto opt_mode : modes) {
     exact::ExactOptions opt;
-    opt.engine = reason::EngineKind::Cdcl;
+    opt.engine = engine;
     opt.use_subsets = true;
     opt.budget = std::chrono::milliseconds(budget_ms);
     opt.optimization = opt_mode;
     const char* mode_name =
-        opt_mode == reason::OptimizationMode::BinarySearch ? "binary" : "descending";
+        dp ? "dp" : opt_mode == reason::OptimizationMode::BinarySearch ? "binary" : "descending";
     for (const auto& row : baseline.rows) {
-      if (!row.proven) continue;  // budget-bound rows are timing-dependent
+      // Budget-bound rows are timing-dependent under SAT; the DP proves them.
+      if (!row.proven && !dp) continue;
       ++checked;
       const Circuit circuit = bench::table1_benchmark(row.circuit).build();
       const auto res = exact::map_exact(circuit, arch::ibm_qx4(), opt);
       const bool proven = res.status == reason::Status::Optimal;
       const auto cost = static_cast<long long>(res.mapped.size());
-      const bool ok = proven && cost == row.cost;
+      const bool ok = proven && (row.proven ? cost == row.cost : cost <= row.cost);
       std::cout << (ok ? "  ok   " : "  FAIL ") << row.circuit << " [" << mode_name
                 << "]: cost " << cost << " (baseline " << row.cost << "), "
                 << (proven ? "proven" : "NOT proven") << ", "
@@ -159,7 +176,7 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "bench_sat_smoke: " << (checked - failed) << "/" << checked
-            << " proven baseline rows re-proved at " << budget_ms << " ms (mode " << mode
-            << ")\n";
+            << (dp ? " baseline rows proved by the DP" : " proven baseline rows re-proved")
+            << " at " << budget_ms << " ms (mode " << (dp ? "dp" : mode) << ")\n";
   return failed == 0 ? 0 : 1;
 }

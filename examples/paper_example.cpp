@@ -20,7 +20,8 @@ int main() {
   for (const auto& [c, t] : qx4.edges()) std::cout << "(p" << c << "->p" << t << ") ";
   std::cout << "\n\n";
 
-  for (const auto engine : {reason::EngineKind::Z3, reason::EngineKind::Cdcl}) {
+  for (const auto engine :
+       {reason::EngineKind::Dp, reason::EngineKind::Z3, reason::EngineKind::Cdcl}) {
     MapOptions options;
     options.exact.engine = engine;
     options.exact.budget = std::chrono::milliseconds(60000);

@@ -9,7 +9,6 @@
 #include <iostream>
 
 #include "api/qxmap.hpp"
-#include "arch/swap_costs.hpp"
 #include "bench_circuits/table1_suite.hpp"
 #include "common/strings.hpp"
 #include "exact/reference_search.hpp"
@@ -32,11 +31,10 @@ int main(int argc, char** argv) {
   }
   std::vector<std::size_t> all_points;
   for (std::size_t k = 1; k < cnots.size(); ++k) all_points.push_back(k);
-  const arch::SwapCostTable table(qx4);
   exact::CostModel costs;
   costs.swap_cost = 7;
   const auto reference =
-      exact::minimal_cost_reference(cnots, circuit.num_qubits(), qx4, table, all_points, costs);
+      exact::minimal_cost_reference(cnots, circuit.num_qubits(), qx4, all_points, costs);
 
   std::cout << "benchmark " << name << ": n = " << benchmark.n
             << ", original cost = " << benchmark.original_cost()

@@ -53,7 +53,7 @@ namespace qxmap {
 
 /// Mapping algorithm selector.
 enum class Method {
-  Exact,           ///< Secs. 3-4: symbolic formulation + reasoning engine
+  Exact,           ///< Secs. 3-4: exact minimum (layout DP by default; SAT engines on request)
   StochasticSwap,  ///< Qiskit 0.4-style randomized baseline ("IBM [12]")
   AStar,           ///< Zulehner-style layer A* baseline ([22])
   Sabre,           ///< SABRE-style lookahead baseline ([13])

@@ -72,13 +72,11 @@ std::string options_digest(const MapOptions& o, const arch::CouplingMap& archite
   switch (o.method) {
     case Method::Exact: {
       const auto& e = o.exact;
-      // Hash the engine that actually runs: without Z3 support,
-      // make_engine(EngineKind::Z3) degrades to the CDCL backend, so the
-      // two requested kinds produce identical results and must share an
-      // entry.
-      const bool z3 = e.engine == reason::EngineKind::Z3 && reason::z3_available();
-      d += "exact;engine=";
-      d += z3 ? "z3" : "cdcl";
+      // Hash the engine that actually runs ("dp", "cdcl" or "z3"): without
+      // Z3 support, make_engine(EngineKind::Z3) degrades to the CDCL
+      // backend, so the two requested kinds produce identical results and
+      // must share an entry.
+      d += "exact;engine=" + reason::to_string(reason::running_engine(e.engine));
       d += ";opt=" + std::to_string(static_cast<int>(e.optimization));
       d += ";strategy=" + exact::to_string(e.strategy);
       d += ";subsets=" + std::to_string(e.use_subsets ? 1 : 0);

@@ -17,6 +17,7 @@
 #include "arch/swap_cost_cache.hpp"
 #include "arch/swap_costs.hpp"
 #include "exact/encoder.hpp"
+#include "exact/reference_search.hpp"
 #include "exact/shard_executor.hpp"
 #include "exact/router.hpp"
 #include "exact/strategies.hpp"
@@ -179,6 +180,137 @@ std::vector<long long> instance_hardness(const arch::CouplingMap& cm,
   return edges;
 }
 
+void count_instances(std::size_t popped) {
+  static obs::Counter& instances_total = obs::MetricsRegistry::instance().counter(
+      "qxmap_exact_instances_solved_total", "Subset-instance shard tasks run to a verdict");
+  instances_total.inc(static_cast<std::uint64_t>(popped));
+}
+
+/// The tail every solved request shares: the full statevector check on
+/// small architectures (the router already checked the GF(2) skeleton),
+/// then the wall time and the trace summary.
+MappingResult close_result(MappingResult res, const Circuit& circuit, const arch::CouplingMap& cm,
+                           const ExactOptions& options, Clock::time_point start,
+                           PhaseTimes& phases) {
+  if (options.verify) {
+    const auto t0 = Clock::now();
+    obs::Span span("exact.verify", "exact");
+    std::string deep_msg = "statevector check skipped (architecture too large)";
+    if (cm.num_physical() <= options.deep_verify_max_qubits) {
+      const auto eq = sim::check_mapped_circuit(circuit, res.mapped, res.initial_layout,
+                                                res.final_layout);
+      res.verified = res.verified && eq.equivalent;
+      deep_msg = eq.message;
+    }
+    res.verify_message += "; " + deep_msg;
+    span.attr("verified", res.verified);
+    if (phases.active) phases.verify_ns = elapsed_ns(t0);
+  }
+
+  res.seconds = std::chrono::duration<double>(Clock::now() - start).count();
+  if (phases.active) res.trace_summary = phases.table(elapsed_ns(start));
+  return res;
+}
+
+/// The EngineKind::Dp branch of map_exact: one search_layouts call per
+/// instance on the shared executor, the lowest-(cost, index) reduction, and
+/// reconstruction through the Router. Each instance is a pure function of
+/// its inputs and the search has no bound to share, so this branch needs no
+/// warm start, shared prefix, live bound, budget split or canonical
+/// re-solve: results are bit-identical at any thread count as long as no
+/// instance reaches the deadline (docs/concurrency.md).
+MappingResult map_with_dp(const Circuit& circuit, const arch::CouplingMap& cm,
+                          const ExactOptions& options, const CostModel& costs,
+                          const std::vector<Gate>& cnots, const std::vector<std::size_t>& points,
+                          const std::vector<std::vector<int>>& instances, MappingResult res,
+                          Clock::time_point start, PhaseTimes& phases) {
+  constexpr long long kNoIndex = std::numeric_limits<long long>::max();
+  const auto deadline = start + options.budget;
+  std::vector<LayoutRoute> routes(instances.size());
+  std::atomic<std::size_t> popped{0};
+  // Lowest index proving cost 0: later instances can at best tie and lose
+  // the index tie-break, so they are skipped.
+  std::atomic<long long> zero_index{kNoIndex};
+  const auto solve_instance = [&](std::size_t i) {
+    popped.fetch_add(1, std::memory_order_relaxed);
+    if (static_cast<long long>(i) > zero_index.load(std::memory_order_acquire)) return;
+    const auto t0 = Clock::now();
+    {
+      obs::Span span("exact.solve", "exact");
+      span.attr("engine", "dp");
+      span.attr("instance", i);
+      routes[i] = search_layouts(cnots, circuit.num_qubits(), cm.induced(instances[i]), points,
+                                 costs, deadline);
+      span.attr("status", reason::to_string(routes[i].status));
+    }
+    if (phases.active) phases.solve_ns.fetch_add(elapsed_ns(t0), std::memory_order_relaxed);
+    if (routes[i].status == reason::Status::Optimal && routes[i].cost == 0) {
+      long long zi = zero_index.load(std::memory_order_acquire);
+      const auto me = static_cast<long long>(i);
+      while (me < zi && !zero_index.compare_exchange_weak(zi, me, std::memory_order_acq_rel)) {
+      }
+    }
+  };
+  ShardExecutor& executor = ShardExecutor::instance();
+  executor.run_to_completion(
+      executor.submit(solve_instance, std::vector<long long>(instances.size(), 0),
+                      resolve_num_threads(options.num_threads, instances.size())));
+  count_instances(popped.load(std::memory_order_relaxed));
+
+  // Deterministic reduction, as in the SAT branch: truncate after the first
+  // zero-cost instance, then keep the lowest cost, ties to the lowest index.
+  std::size_t effective = instances.size();
+  for (std::size_t i = 0; i < routes.size(); ++i) {
+    if (routes[i].status == reason::Status::Optimal && routes[i].cost == 0) {
+      effective = i + 1;
+      break;
+    }
+  }
+  std::optional<std::size_t> best;
+  bool any_unknown = false;
+  for (std::size_t i = 0; i < effective; ++i) {
+    ++res.instances_solved;
+    if (routes[i].status == reason::Status::Unknown) any_unknown = true;
+    if (routes[i].status != reason::Status::Optimal) continue;
+    if (!best || routes[i].cost < routes[*best].cost) best = i;
+  }
+  if (!best) {
+    res.status = any_unknown ? reason::Status::Unknown : reason::Status::Unsat;
+    res.seconds = std::chrono::duration<double>(Clock::now() - start).count();
+    if (phases.active) res.trace_summary = phases.table(elapsed_ns(start));
+    return res;
+  }
+
+  const auto reconstruct_t0 = Clock::now();
+  const LayoutRoute& route = routes[*best];
+  const std::vector<int>& subset = instances[*best];
+  Router router = [&] {
+    obs::Span span("exact.reconstruct", "exact");
+    std::vector<int> layout;
+    for (const int local : route.initial) layout.push_back(subset[static_cast<std::size_t>(local)]);
+    Router r(circuit, cm, std::move(layout));
+    std::size_t k = 0;  // CNOT index
+    for (const auto& g : circuit) {
+      if (g.is_cnot()) {
+        for (const auto& [a, b] : route.swaps[k]) {
+          r.swap(subset[static_cast<std::size_t>(a)], subset[static_cast<std::size_t>(b)]);
+        }
+        ++k;
+      }
+      r.emit(g);
+    }
+    return r;
+  }();
+  if (phases.active) phases.reconstruct_ns = elapsed_ns(reconstruct_t0);
+  // An instance that ran out of time may have hidden a cheaper route.
+  res.status = any_unknown ? reason::Status::Feasible : reason::Status::Optimal;
+  res = std::move(router).finish(std::move(res), costs, options.verify, start);
+  if (res.objective_cost != route.cost) {
+    throw std::logic_error("map_exact: emitted gate overhead disagrees with DP cost");
+  }
+  return close_result(std::move(res), circuit, cm, options, start, phases);
+}
+
 }  // namespace
 
 MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
@@ -205,7 +337,7 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   MappingResult res;
   // Report the engine that actually runs, not the requested kind: without
   // Z3 support, make_engine(EngineKind::Z3) degrades to the CDCL backend.
-  res.engine_name = reason::make_engine(options.engine)->name();
+  res.engine_name = reason::to_string(reason::running_engine(options.engine));
   const CostModel costs = options.costs.resolved(cm);
   res.objective = to_string(costs.objective);
 
@@ -246,6 +378,12 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   }
   if (phases.active) phases.subsets_ns = elapsed_ns(subsets_t0);
   map_span.attr("instances", instances.size());
+  res.permutation_points = static_cast<int>(points.size()) + 1;
+
+  if (options.engine == reason::EngineKind::Dp) {
+    return map_with_dp(circuit, cm, options, costs, cnots, points, instances, std::move(res),
+                       start, phases);
+  }
 
   // Budget: one shared deadline for the whole instance sweep. Each shard
   // grants its next instance an equal share of the time still left (divided
@@ -256,8 +394,6 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   const auto overall_deadline = start + options.budget;
   const auto nominal_share = std::chrono::milliseconds(
       std::max<long long>(1, options.budget.count() / static_cast<long long>(instances.size())));
-
-  res.permutation_points = static_cast<int>(points.size()) + 1;
 
   // --- Shard the subset instances through the process-wide executor ------
   //
@@ -461,9 +597,7 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   if (worker_error) std::rethrow_exception(worker_error);
   res.bound_polls = total_polls.load(std::memory_order_relaxed);
   res.bound_tightenings = total_tightenings.load(std::memory_order_relaxed);
-  static obs::Counter& instances_total = obs::MetricsRegistry::instance().counter(
-      "qxmap_exact_instances_solved_total", "Subset-instance shard tasks run to a verdict");
-  instances_total.inc(static_cast<std::uint64_t>(started.load(std::memory_order_relaxed)));
+  count_instances(started.load(std::memory_order_relaxed));
 
   // --- Deterministic reduction -------------------------------------------
   // Truncate at the first zero-cost subset (everything after it was either
@@ -559,27 +693,7 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   if (res.objective_cost != best->solution.cost_f) {
     throw std::logic_error("map_exact: emitted gate overhead disagrees with model cost");
   }
-
-  if (options.verify) {
-    // The router checked the GF(2) skeleton; small architectures also get
-    // the full statevector check.
-    const auto t0 = Clock::now();
-    obs::Span span("exact.verify", "exact");
-    std::string deep_msg = "statevector check skipped (architecture too large)";
-    if (m <= options.deep_verify_max_qubits) {
-      const auto eq = sim::check_mapped_circuit(circuit, res.mapped, res.initial_layout,
-                                                res.final_layout);
-      res.verified = res.verified && eq.equivalent;
-      deep_msg = eq.message;
-    }
-    res.verify_message += "; " + deep_msg;
-    span.attr("verified", res.verified);
-    if (phases.active) phases.verify_ns = elapsed_ns(t0);
-  }
-
-  res.seconds = std::chrono::duration<double>(Clock::now() - start).count();
-  if (phases.active) res.trace_summary = phases.table(elapsed_ns(start));
-  return res;
+  return close_result(std::move(res), circuit, cm, options, start, phases);
 }
 
 }  // namespace qxmap::exact

@@ -6,19 +6,23 @@
 ///  1. extract the CNOT skeleton (single-qubit gates never violate coupling
 ///     constraints, footnote 3);
 ///  2. choose permutation points G' per the configured strategy (Sec. 4.2);
-///  3. build one symbolic instance over all m physical qubits — or, with
+///  3. build one instance over all m physical qubits — or, with
 ///     ExactOptions::use_subsets, one per connected n-subset (Sec. 4.1) —
-///     and minimize Eq. (5) with the configured reasoning engine; subset
-///     instances are sharded across ExactOptions::num_threads workers, each
-///     owning its engine, popping from a shared hardest-first queue, with a
-///     shared atomic bound feeding every shard's Eq. (5) upper bound both
-///     at solve start and at checkpoints mid-solve, plus a deterministic
-///     lowest-cost/lowest-index reduction (results are bit-identical at any
-///     thread count; protocol spec in docs/concurrency.md); swaps(π)
-///     tables come from the process-wide arch::SwapCostCache;
-///  4. decode the best model into layouts/permutations, synthesize SWAP
-///     chains along coupling edges, re-attach the single-qubit gates, and
-///     H-conjugate direction-reversed CNOTs (Fig. 3);
+///     and minimize Eq. (5) on each, sharded across the process-wide
+///     executor (at most ExactOptions::num_threads at once) and reduced to
+///     the lowest cost, ties to the lowest subset index (bit-identical at
+///     any thread count; protocol spec in docs/concurrency.md):
+///     - Dp (the default): the layout DP of exact/reference_search.hpp
+///       returns an optimal route per instance;
+///     - Cdcl / Z3: each shard owns its reasoning engine and pops from a
+///       hardest-first queue, a shared atomic bound feeds every shard's
+///       Eq. (5) upper bound at solve start and mid-solve, and the winner
+///       is re-solved canonically; swaps(π) tables come from the
+///       process-wide arch::SwapCostCache;
+///  4. replay the winner through the Router — the DP route's SWAPs, or the
+///     decoded model's permutations as SWAP chains along coupling edges —
+///     re-attaching the single-qubit gates and H-conjugating
+///     direction-reversed CNOTs (Fig. 3);
 ///  5. verify the result (GF(2) skeleton check; statevector equivalence on
 ///     small architectures).
 

@@ -1,141 +1,220 @@
 #include "exact/reference_search.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <functional>
 #include <limits>
-#include <map>
-#include <set>
+#include <numeric>
 #include <stdexcept>
-
-#include "arch/swap_cost_cache.hpp"
-#include "common/permutation.hpp"
 
 namespace qxmap::exact {
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
 constexpr long long kInf = std::numeric_limits<long long>::max() / 4;
 
-/// All injective placements logical → physical as vectors of length n.
-std::vector<std::vector<int>> all_placements(int m, int n) {
-  std::set<std::vector<int>> dedup;
-  for (const auto& pi : Permutation::all(static_cast<std::size_t>(m))) {
-    std::vector<int> placement(static_cast<std::size_t>(n));
-    for (int j = 0; j < n; ++j) placement[static_cast<std::size_t>(j)] = pi.at(static_cast<std::size_t>(j));
-    dedup.insert(std::move(placement));
+/// The injective placements of n >= 1 logical qubits on the m physical
+/// qubits of a coupling map, indexed in lexicographic order, plus the
+/// single-SWAP neighbour of every placement across every undirected
+/// coupling edge.
+class PlacementGraph {
+ public:
+  PlacementGraph(const arch::CouplingMap& cm, int n)
+      : n_(static_cast<std::size_t>(n)), edges_(cm.undirected_edges()) {
+    const int m = cm.num_physical();
+    // weight_[j]: completions of a placement prefix of length j + 1, so
+    // rank() inverts the lexicographic enumeration below.
+    weight_.assign(n_, 1);
+    for (std::size_t j = n_; j-- > 1;) {
+      weight_[j - 1] = weight_[j] * static_cast<std::size_t>(m - static_cast<int>(j));
+    }
+    // k-permutations in lexicographic order: visit the prefix, then reverse
+    // the suffix so next_permutation advances straight to the next prefix.
+    std::vector<int> perm(static_cast<std::size_t>(m));
+    std::iota(perm.begin(), perm.end(), 0);
+    do {
+      cells_.insert(cells_.end(), perm.begin(), perm.begin() + static_cast<std::ptrdiff_t>(n_));
+      std::reverse(perm.begin() + static_cast<std::ptrdiff_t>(n_), perm.end());
+    } while (std::next_permutation(perm.begin(), perm.end()));
+    size_ = cells_.size() / n_;
+
+    next_.resize(size_ * edges_.size());
+    std::vector<int> swapped(n_);
+    for (std::size_t s = 0; s < size_; ++s) {
+      const int* p = placement(s);
+      for (std::size_t e = 0; e < edges_.size(); ++e) {
+        const auto [a, b] = edges_[e];
+        for (std::size_t j = 0; j < n_; ++j) swapped[j] = p[j] == a ? b : p[j] == b ? a : p[j];
+        next_[s * edges_.size() + e] = static_cast<std::uint32_t>(rank(swapped));
+      }
+    }
   }
-  return {dedup.begin(), dedup.end()};
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] std::size_t num_edges() const noexcept { return edges_.size(); }
+  [[nodiscard]] const std::pair<int, int>& edge(std::size_t e) const { return edges_[e]; }
+  [[nodiscard]] const int* placement(std::size_t s) const { return cells_.data() + s * n_; }
+  /// Placement after SWAP on edge e; s itself when e touches no logical qubit.
+  [[nodiscard]] std::size_t neighbour(std::size_t s, std::size_t e) const {
+    return next_[s * edges_.size() + e];
+  }
+
+ private:
+  [[nodiscard]] std::size_t rank(const std::vector<int>& p) const {
+    std::size_t r = 0;
+    std::uint32_t used = 0;
+    for (std::size_t j = 0; j < n_; ++j) {
+      const auto below = (std::uint32_t{1} << p[j]) - 1;
+      r += static_cast<std::size_t>(std::popcount(below & ~used)) * weight_[j];
+      used |= std::uint32_t{1} << p[j];
+    }
+    return r;
+  }
+
+  std::size_t n_;
+  std::vector<std::pair<int, int>> edges_;
+  std::vector<std::size_t> weight_;
+  std::vector<int> cells_;  // size_ placements of n_ cells each
+  std::size_t size_ = 0;
+  std::vector<std::uint32_t> next_;  // size_ x num_edges()
+};
+
+/// Multi-source Dijkstra at a permutation point: every placement starts at
+/// its cost after the previous gate (`dist`, relaxed in place) and may move
+/// along SWAP edges at `swap_cost` each. Returns how each placement was
+/// reached: 0 = held, e + 1 = SWAP on edge e from neighbour(s, e) (a SWAP
+/// is its own inverse). Pops run in (cost, index) order and only strictly
+/// cheaper arrivals replace a parent — the documented tie-break.
+std::vector<std::uint8_t> relax(const PlacementGraph& graph, std::vector<long long>& dist,
+                                long long swap_cost) {
+  using Entry = std::pair<long long, std::uint32_t>;
+  std::vector<std::uint8_t> parent(graph.size(), 0);
+  std::vector<Entry> heap;
+  heap.reserve(graph.size());
+  for (std::size_t s = 0; s < graph.size(); ++s) {
+    if (dist[s] < kInf) heap.emplace_back(dist[s], static_cast<std::uint32_t>(s));
+  }
+  const std::greater<> later;
+  std::make_heap(heap.begin(), heap.end(), later);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    const auto [d, s] = heap.back();
+    heap.pop_back();
+    if (d > dist[s]) continue;  // superseded by a cheaper arrival
+    const long long arrival = d + swap_cost;
+    for (std::size_t e = 0; e < graph.num_edges(); ++e) {
+      const std::size_t t = graph.neighbour(s, e);
+      if (arrival < dist[t]) {
+        dist[t] = arrival;
+        parent[t] = static_cast<std::uint8_t>(e + 1);
+        heap.emplace_back(arrival, static_cast<std::uint32_t>(t));
+        std::push_heap(heap.begin(), heap.end(), later);
+      }
+    }
+  }
+  return parent;
 }
 
 }  // namespace
 
-ReferenceResult minimal_cost_reference(const std::vector<Gate>& cnots, int num_logical,
-                                       const arch::CouplingMap& cm,
-                                       const arch::SwapCostTable& table,
-                                       const std::vector<std::size_t>& perm_points,
-                                       const CostModel& costs) {
+LayoutRoute search_layouts(const std::vector<Gate>& cnots, int num_logical,
+                           const arch::CouplingMap& cm,
+                           const std::vector<std::size_t>& perm_points, const CostModel& costs,
+                           Clock::time_point deadline) {
   const int m = cm.num_physical();
   const int n = num_logical;
-  if (m > 8) throw std::invalid_argument("minimal_cost_reference: m > 8 not supported");
-  if (n > m) throw std::invalid_argument("minimal_cost_reference: n > m");
-  if (cnots.empty()) return {true, 0};
-  if (costs.swap_cost <= 0) throw std::invalid_argument("minimal_cost_reference: unresolved costs");
-
-  const auto placements = all_placements(m, n);
-  const auto S = placements.size();
-  const std::set<std::size_t> points(perm_points.begin(), perm_points.end());
-
-  // Transition costs: minimal SWAPs turning placement s into placement s'
-  // = min over full permutations π consistent with both (π maps s[j] to
-  // s'[j]; the m-n free positions may permute arbitrarily).
-  std::map<std::pair<std::size_t, std::size_t>, int> min_swaps_cache;
-  const auto transition_swaps = [&](std::size_t s, std::size_t sp) -> int {
-    const auto key = std::make_pair(s, sp);
-    if (const auto it = min_swaps_cache.find(key); it != min_swaps_cache.end()) return it->second;
-    const auto& a = placements[s];
-    const auto& b = placements[sp];
-    // Free positions (not used by a / b respectively).
-    std::vector<int> free_a;
-    std::vector<int> free_b;
-    std::vector<bool> used_a(static_cast<std::size_t>(m), false);
-    std::vector<bool> used_b(static_cast<std::size_t>(m), false);
-    for (int j = 0; j < n; ++j) {
-      used_a[static_cast<std::size_t>(a[static_cast<std::size_t>(j)])] = true;
-      used_b[static_cast<std::size_t>(b[static_cast<std::size_t>(j)])] = true;
+  if (m > 8) throw std::invalid_argument("search_layouts: m > 8 not supported");
+  if (n < 0 || n > m) throw std::invalid_argument("search_layouts: need 0 <= n <= m");
+  if (costs.swap_cost <= 0) throw std::invalid_argument("search_layouts: unresolved costs");
+  for (const auto& g : cnots) {
+    if (g.control < 0 || g.control >= n || g.target < 0 || g.target >= n) {
+      throw std::invalid_argument("search_layouts: CNOT operand outside the logical qubits");
     }
-    for (int i = 0; i < m; ++i) {
-      if (!used_a[static_cast<std::size_t>(i)]) free_a.push_back(i);
-      if (!used_b[static_cast<std::size_t>(i)]) free_b.push_back(i);
-    }
-    int best = std::numeric_limits<int>::max();
-    // Enumerate bijections free_a → free_b via permutations of indices.
-    std::vector<int> idx(free_a.size());
-    for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = static_cast<int>(i);
-    do {
-      std::vector<int> images(static_cast<std::size_t>(m), -1);
-      for (int j = 0; j < n; ++j) {
-        images[static_cast<std::size_t>(a[static_cast<std::size_t>(j)])] =
-            b[static_cast<std::size_t>(j)];
-      }
-      for (std::size_t f = 0; f < free_a.size(); ++f) {
-        images[static_cast<std::size_t>(free_a[f])] = free_b[static_cast<std::size_t>(idx[f])];
-      }
-      best = std::min(best, table.swaps(Permutation(std::move(images))));
-    } while (std::next_permutation(idx.begin(), idx.end()));
-    min_swaps_cache.emplace(key, best);
-    return best;
-  };
-
-  // Per-gate execution penalty at a placement (or -1 if not executable).
-  const auto exec_penalty = [&](std::size_t s, const Gate& g) -> int {
-    const int pc = placements[s][static_cast<std::size_t>(g.control)];
-    const int pt = placements[s][static_cast<std::size_t>(g.target)];
-    if (cm.allows(pc, pt)) return 0;
-    if (cm.allows(pt, pc)) return costs.reverse_cost;
-    return -1;
-  };
-
-  // DP over "placement before gate k".
-  std::vector<long long> dp(S, 0);  // dp before gate 0: initial mapping is free
-  for (std::size_t k = 0; k < cnots.size(); ++k) {
-    std::vector<long long> done(S, kInf);  // cost after executing gate k at placement s
-    for (std::size_t s = 0; s < S; ++s) {
-      if (dp[s] >= kInf) continue;
-      const int pen = exec_penalty(s, cnots[k]);
-      if (pen < 0) continue;
-      done[s] = dp[s] + pen;
-    }
-    if (k + 1 == cnots.size()) {
-      dp = std::move(done);
-      break;
-    }
-    // Move to the placement before gate k+1.
-    std::vector<long long> next(S, kInf);
-    if (!points.contains(k + 1)) {
-      next = done;  // no permutation allowed: placement must stay
-    } else {
-      for (std::size_t s = 0; s < S; ++s) {
-        if (done[s] >= kInf) continue;
-        for (std::size_t sp = 0; sp < S; ++sp) {
-          const long long c =
-              done[s] + static_cast<long long>(costs.swap_cost) * transition_swaps(s, sp);
-          next[sp] = std::min(next[sp], c);
-        }
-      }
-    }
-    dp = std::move(next);
   }
 
-  const long long best = *std::min_element(dp.begin(), dp.end());
-  if (best >= kInf) return {false, 0};
-  return {true, best};
+  LayoutRoute out;
+  if (cnots.empty()) {
+    out.status = reason::Status::Optimal;
+    out.initial.resize(static_cast<std::size_t>(n));
+    std::iota(out.initial.begin(), out.initial.end(), 0);
+    return out;
+  }
+
+  const PlacementGraph graph(cm, n);
+  const std::size_t K = cnots.size();
+  std::vector<bool> is_point(K, false);
+  for (const std::size_t k : perm_points) {
+    if (k >= 1 && k < K) is_point[k] = true;
+  }
+  // Added cost of a CNOT on physical (control, target); -1 = not coupled.
+  const auto mu = static_cast<std::size_t>(m);
+  std::vector<int> cnot_cost(mu * mu, -1);
+  for (int a = 0; a < m; ++a) {
+    for (int b = 0; b < m; ++b) {
+      const auto at = static_cast<std::size_t>(a) * mu + static_cast<std::size_t>(b);
+      if (cm.allows(a, b)) {
+        cnot_cost[at] = 0;
+      } else if (cm.allows(b, a)) {
+        cnot_cost[at] = costs.reverse_cost;
+      }
+    }
+  }
+
+  // dist[s]: cheapest cost of the gates so far ending at placement s; the
+  // initial mapping is free. parents[k]: relax()'s record at point k.
+  std::vector<long long> dist(graph.size(), 0);
+  std::vector<std::vector<std::uint8_t>> parents(K);
+  for (std::size_t k = 0; k < K; ++k) {
+    if (Clock::now() >= deadline) return out;
+    if (is_point[k]) parents[k] = relax(graph, dist, costs.swap_cost);
+    const auto c = static_cast<std::size_t>(cnots[k].control);
+    const auto t = static_cast<std::size_t>(cnots[k].target);
+    bool executable = false;
+    for (std::size_t s = 0; s < graph.size(); ++s) {
+      if (dist[s] >= kInf) continue;
+      const int* p = graph.placement(s);
+      const int penalty = cnot_cost[static_cast<std::size_t>(p[c]) * mu +
+                                    static_cast<std::size_t>(p[t])];
+      dist[s] = penalty < 0 ? kInf : dist[s] + penalty;
+      executable = executable || penalty >= 0;
+    }
+    if (!executable) {
+      out.status = reason::Status::Unsat;
+      return out;
+    }
+  }
+
+  // Backtrack from the cheapest, then lowest-index, final placement.
+  std::size_t s = static_cast<std::size_t>(
+      std::min_element(dist.begin(), dist.end()) - dist.begin());
+  out.status = reason::Status::Optimal;
+  out.cost = dist[s];
+  out.swaps.resize(K);
+  for (std::size_t k = K; k-- > 1;) {
+    if (!is_point[k]) continue;
+    auto& chain = out.swaps[k];
+    while (const std::uint8_t via = parents[k][s]) {
+      const std::size_t e = via - 1u;
+      chain.push_back(graph.edge(e));
+      s = graph.neighbour(s, e);
+    }
+    std::reverse(chain.begin(), chain.end());
+  }
+  const int* first = graph.placement(s);
+  out.initial.assign(first, first + n);
+  return out;
 }
 
 ReferenceResult minimal_cost_reference(const std::vector<Gate>& cnots, int num_logical,
                                        const arch::CouplingMap& cm,
                                        const std::vector<std::size_t>& perm_points,
                                        const CostModel& costs) {
-  const auto table = arch::SwapCostCache::instance().table(cm);
-  return minimal_cost_reference(cnots, num_logical, cm, *table, perm_points, costs);
+  const LayoutRoute route = search_layouts(cnots, num_logical, cm, perm_points, costs);
+  if (route.status != reason::Status::Optimal) return {false, 0};
+  return {true, route.cost};
 }
 
 }  // namespace qxmap::exact

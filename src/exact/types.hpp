@@ -77,15 +77,18 @@ struct CostModel {
 
 /// Options for the exact mapper.
 struct ExactOptions {
-  /// Defaults to the engine that actually runs: Z3 when the build has Z3
-  /// support, else the built-in CDCL backend.
-  reason::EngineKind engine =
-      reason::z3_available() ? reason::EngineKind::Z3 : reason::EngineKind::Cdcl;
-  /// How the engine approaches the Eq. (5) minimum (Sec. 3.3): a descending
-  /// bound loop, or binary-search probes that assert speculative bounds as
-  /// assumption literals against one incremental solver. Both return the
-  /// same status and cost; wall time per instance differs. Backends that
-  /// minimize natively (Z3) ignore the selection.
+  /// Which solver minimizes Eq. (5). The default, Dp, is the layout DP of
+  /// exact/reference_search.hpp in every build: the same proven optima as
+  /// the symbolic formulation, computed directly. Cdcl and Z3 solve the
+  /// paper's symbolic formulation (Sec. 3) and run only when requested; Z3
+  /// degrades to Cdcl in builds without Z3 support.
+  reason::EngineKind engine = reason::EngineKind::Dp;
+  /// How a SAT engine approaches the Eq. (5) minimum (Sec. 3.3): a
+  /// descending bound loop, or binary-search probes that assert speculative
+  /// bounds as assumption literals against one incremental solver. Both
+  /// return the same status and cost; wall time per instance differs.
+  /// Backends that minimize natively (Z3) and the Dp engine ignore the
+  /// selection.
   reason::OptimizationMode optimization = reason::OptimizationMode::DescendingLinear;
   PermutationStrategy strategy = PermutationStrategy::All;
   /// Sec. 4.1: solve one instance per connected n-subset of physical qubits
@@ -95,16 +98,19 @@ struct ExactOptions {
   /// (exact/shard_executor.hpp): at most this many of the request's subset
   /// instances solve simultaneously (0 = hardware concurrency). The
   /// executor grows its pool so an explicit cap is honoured even on fewer
-  /// cores, like the per-call pools it replaced. Each executing thread owns
-  /// its reasoning engine — the CDCL solver is not thread-safe — and
-  /// publishes its best model cost to a shared bound that lets every other
-  /// shard strengthen its Eq. (5) upper bound. The reduction is
+  /// cores, like the per-call pools it replaced. Under a SAT engine each
+  /// executing thread owns its reasoning engine — the CDCL solver is not
+  /// thread-safe — and publishes its best model cost to a shared bound that
+  /// lets every other shard strengthen its Eq. (5) upper bound; Dp
+  /// instances share nothing. The reduction is
   /// deterministic (lowest cost, then lowest subset index), so every cap
   /// yields bit-identical results as long as the solver budget does not
   /// expire mid-search. See docs/concurrency.md.
   int num_threads = 0;
-  /// Total solver budget, shared across subset instances as one deadline:
-  /// each shard grants its next instance an equal share of the time *left*,
+  /// Total solver budget, shared across subset instances as one deadline.
+  /// Dp instances all run against that deadline (checked once per gate; an
+  /// instance that reaches it reports Unknown). Under a SAT engine each
+  /// shard grants its next instance an equal share of the time *left*,
   /// so slack from instances that finish early (or are skipped) flows to
   /// the hard ones instead of expiring unused. The canonical re-derivation
   /// of the winning instance (which keeps results thread-count invariant)

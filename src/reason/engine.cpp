@@ -94,8 +94,20 @@ std::string to_string(EngineKind kind) {
   switch (kind) {
     case EngineKind::Z3: return "z3";
     case EngineKind::Cdcl: return "cdcl";
+    case EngineKind::Dp: return "dp";
   }
   throw std::invalid_argument("to_string: bad EngineKind");
+}
+
+EngineKind engine_kind(std::string_view name) {
+  for (const EngineKind kind : {EngineKind::Dp, EngineKind::Cdcl, EngineKind::Z3}) {
+    if (name == to_string(kind)) return kind;
+  }
+  throw std::invalid_argument("unknown engine '" + std::string(name) + "' (expected dp|cdcl|z3)");
+}
+
+EngineKind running_engine(EngineKind kind) {
+  return kind == EngineKind::Z3 && !z3_available() ? EngineKind::Cdcl : kind;
 }
 
 std::string to_string(Status status) {
@@ -127,6 +139,8 @@ std::unique_ptr<ReasoningEngine> make_engine(EngineKind kind) {
       return std::make_unique<CdclEngine>();
 #endif
     case EngineKind::Cdcl: return std::make_unique<CdclEngine>();
+    case EngineKind::Dp:
+      throw std::invalid_argument("make_engine: EngineKind::Dp is not a ReasoningEngine");
   }
   throw std::invalid_argument("make_engine: bad EngineKind");
 }

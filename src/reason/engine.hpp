@@ -17,6 +17,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace qxmap::reason {
@@ -167,11 +168,22 @@ class ReasoningEngine {
   BoundSource bound_source_;
 };
 
-/// Which backend to instantiate.
-enum class EngineKind { Z3, Cdcl };
+/// Which solver the exact mapper runs. Z3 and Cdcl are ReasoningEngine
+/// backends for the symbolic formulation (Sec. 3). Dp is the layout search
+/// of exact/reference_search.hpp: it computes the same Eq. (5) minimum
+/// directly and is not a ReasoningEngine.
+enum class EngineKind { Z3, Cdcl, Dp };
 
-/// Name for reports ("z3" / "cdcl").
+/// Name for reports ("z3" / "cdcl" / "dp").
 [[nodiscard]] std::string to_string(EngineKind kind);
+
+/// Inverse of to_string(EngineKind), for command lines.
+/// \throws std::invalid_argument on anything but "dp", "cdcl" or "z3".
+[[nodiscard]] EngineKind engine_kind(std::string_view name);
+
+/// The kind that actually runs for a request of `kind`: Z3 degrades to
+/// Cdcl when the build has no Z3 support; every other kind runs as asked.
+[[nodiscard]] EngineKind running_engine(EngineKind kind);
 
 /// "optimal" / "feasible" / "unsat" / "unknown" — for logs and trace attrs.
 [[nodiscard]] std::string to_string(Status status);
@@ -180,7 +192,8 @@ enum class EngineKind { Z3, Cdcl };
 /// When false, make_engine(EngineKind::Z3) degrades to the CDCL backend.
 [[nodiscard]] bool z3_available();
 
-/// Factory.
+/// Factory for the ReasoningEngine backends.
+/// \throws std::invalid_argument for EngineKind::Dp, which has no engine.
 [[nodiscard]] std::unique_ptr<ReasoningEngine> make_engine(EngineKind kind);
 
 }  // namespace qxmap::reason

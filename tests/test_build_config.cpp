@@ -1,13 +1,15 @@
 /// Build-configuration invariants: the version string reported by the
 /// library matches the CMake project version (passed to this test via
-/// QXMAP_PROJECT_VERSION), and the default options pick the documented
-/// method/engine in both the Z3 and the Z3-less build.
+/// QXMAP_PROJECT_VERSION), the default options pick the documented
+/// method/engine in both the Z3 and the Z3-less build, and an explicit Z3
+/// request degrades to CDCL where Z3 is compiled out.
 
 #include "api/qxmap.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <stdexcept>
 #include <string>
 
 #include "reason/engine.hpp"
@@ -42,16 +44,19 @@ TEST(BuildConfig, DefaultOptionsSelectExactMethod) {
   EXPECT_EQ(options.exact.strategy, exact::PermutationStrategy::All);
 }
 
-TEST(BuildConfig, DefaultEngineDegradesToCdclWithoutZ3) {
+TEST(BuildConfig, DefaultEngineIsDpInEveryBuild) {
   const MapOptions options;
-  const auto engine = reason::make_engine(options.exact.engine);
-  if (reason::z3_available()) {
-    EXPECT_EQ(engine->name(), "z3");
-  } else {
-    // Z3 compiled out: the paper's default engine transparently degrades to
-    // the built-in CDCL backend.
-    EXPECT_EQ(engine->name(), "cdcl");
-  }
+  EXPECT_EQ(options.exact.engine, reason::EngineKind::Dp);
+  EXPECT_EQ(reason::running_engine(options.exact.engine), reason::EngineKind::Dp);
+  // Dp is the layout DP, not a ReasoningEngine backend.
+  EXPECT_THROW((void)reason::make_engine(options.exact.engine), std::invalid_argument);
+}
+
+TEST(BuildConfig, ExplicitZ3RequestDegradesToCdclWithoutZ3) {
+  const auto engine = reason::make_engine(reason::EngineKind::Z3);
+  const std::string expected = reason::z3_available() ? "z3" : "cdcl";
+  EXPECT_EQ(engine->name(), expected);
+  EXPECT_EQ(reason::to_string(reason::running_engine(reason::EngineKind::Z3)), expected);
 }
 
 TEST(BuildConfig, CdclEngineIsAlwaysAvailable) {

@@ -84,6 +84,39 @@ std::vector<SweepCase> sweep_cases() {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ExactVsReference, ::testing::ValuesIn(sweep_cases()));
 
+// The default engine against the SAT path on the same sweep: the layout DP
+// and CDCL must agree on status and optimum under every Sec. 4.2 strategy.
+class DpVsCdcl : public ::testing::TestWithParam<SweepCase> {};
+
+TEST_P(DpVsCdcl, SameStatusAndCost) {
+  const auto& param = GetParam();
+  const Circuit c = bench::random_circuit(4, 2, 6, param.seed, "sweep");
+  exact::ExactOptions opt;
+  opt.strategy = param.strategy;
+  opt.budget = std::chrono::milliseconds(30000);
+  opt.engine = EngineKind::Cdcl;
+  const auto cdcl = exact::map_exact(c, arch::ibm_qx4(), opt);
+  opt.engine = EngineKind::Dp;
+  const auto dp = exact::map_exact(c, arch::ibm_qx4(), opt);
+  ASSERT_NE(cdcl.status, Status::Unknown);
+  EXPECT_EQ(dp.status, cdcl.status);
+  EXPECT_EQ(dp.cost_f, cdcl.cost_f);
+  EXPECT_EQ(dp.objective_cost, cdcl.objective_cost);
+  if (dp.status == Status::Optimal) {
+    EXPECT_TRUE(dp.verified) << dp.verify_message;
+  }
+}
+
+std::vector<SweepCase> dp_sweep_cases() {
+  std::vector<SweepCase> cases;
+  for (const auto& c : sweep_cases()) {
+    if (c.engine == EngineKind::Cdcl) cases.push_back(c);
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, DpVsCdcl, ::testing::ValuesIn(dp_sweep_cases()));
+
 // ---------------------------------------------------------------------
 // GF(2) semantics vs. full statevector simulation on CNOT circuits.
 // ---------------------------------------------------------------------
@@ -271,6 +304,14 @@ TEST(Su4CrossValidation, ExactErrorWeightedMatchesTheReference) {
   EXPECT_EQ(res.cost_f,
             static_cast<long long>(res.mapped.size()) - static_cast<long long>(c.size()));
   EXPECT_TRUE(res.verified) << res.verify_message;
+
+  // The default engine reaches the same error-weighted optimum.
+  opt.engine = EngineKind::Dp;
+  const auto dp = exact::map_exact(c, cm, opt);
+  ASSERT_EQ(dp.status, Status::Optimal);
+  EXPECT_EQ(dp.objective_cost, res.objective_cost);
+  EXPECT_EQ(dp.cost_f, res.cost_f);
+  EXPECT_TRUE(dp.verified) << dp.verify_message;
 }
 
 // ---------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <bit>
 #include <functional>
 #include <limits>
+#include <stdexcept>
 #include <tuple>
 
 #include "common/rng.hpp"
@@ -395,7 +396,12 @@ TEST(EngineFactory, Names) {
 TEST(EngineFactory, DefaultExactEngineIsTheOneThatRuns) {
   // ExactOptions must not default to a backend the build degrades away.
   const EngineKind kind = exact::ExactOptions{}.engine;
-  EXPECT_EQ(make_engine(kind)->name(), reason::to_string(kind));
+  EXPECT_EQ(reason::running_engine(kind), kind);
+}
+
+TEST(EngineFactory, DpHasNoReasoningEngine) {
+  EXPECT_EQ(reason::to_string(EngineKind::Dp), "dp");
+  EXPECT_THROW((void)make_engine(EngineKind::Dp), std::invalid_argument);
 }
 
 TEST(CdclBinarySearch, MatchesDescendingLinearOnRandomInstances) {

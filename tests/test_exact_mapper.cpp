@@ -101,6 +101,8 @@ TEST_P(ExactMapperTest, StrategiesAreNeverBelowTheMinimum) {
 INSTANTIATE_TEST_SUITE_P(BothEngines, ExactMapperTest,
                          ::testing::Values(EngineKind::Z3, EngineKind::Cdcl));
 
+INSTANTIATE_TEST_SUITE_P(DpEngine, ExactMapperTest, ::testing::Values(EngineKind::Dp));
+
 TEST(ExactMapper, SingleQubitGatesAreReattached) {
   Circuit c(2, "oneq");
   c.h(0);
@@ -134,7 +136,7 @@ TEST(ExactMapper, CircuitWithoutCnotsReportsLikeAnyOtherResult) {
   Circuit with_cnot(3, "cnot");
   with_cnot.h(0);
   with_cnot.cnot(0, 1);
-  for (const EngineKind kind : {EngineKind::Z3, EngineKind::Cdcl}) {
+  for (const EngineKind kind : {EngineKind::Z3, EngineKind::Cdcl, EngineKind::Dp}) {
     const auto trivial = map_exact(no_cnot, arch::ibm_qx4(), fast_options(kind));
     const auto routed = map_exact(with_cnot, arch::ibm_qx4(), fast_options(kind));
     EXPECT_FALSE(trivial.engine_name.empty());

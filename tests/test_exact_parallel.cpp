@@ -126,6 +126,10 @@ TEST_P(ExactParallelTest, ParallelismAppliesOnlyWithMultipleInstances) {
 INSTANTIATE_TEST_SUITE_P(BothEngines, ExactParallelTest,
                          ::testing::Values(EngineKind::Cdcl, EngineKind::Z3));
 
+// The layout DP shares the executor fan-out and the reduction, so the same
+// invariance holds with nothing shared between its instances.
+INSTANTIATE_TEST_SUITE_P(DpEngine, ExactParallelTest, ::testing::Values(EngineKind::Dp));
+
 // --- Shared-bound correctness at the engine level --------------------------
 //
 // The shards feed each other Eq. (5) upper bounds via
@@ -494,6 +498,30 @@ TEST(MidSolveTightening, ThreadCountDoesNotChangeResults) {
 }
 
 // --- Work-stealing determinism sweep over the built-in architectures --------
+
+TEST(WorkStealingSweep, DpThreadCountInvarianceOnAllBuiltInArchitectures) {
+  // Wider circuits than the CDCL sweep below: the DP proves 5-qubit subset
+  // instances on Tokyo in milliseconds.
+  const std::vector<arch::CouplingMap> archs = {arch::ibm_qx2(), arch::ibm_qx4(), arch::ibm_qx5(),
+                                                arch::ibm_tokyo()};
+  for (const auto& cm : archs) {
+    const Circuit c = bench::random_circuit(5, 3, 12, 23, "dp-sweep-" + cm.name());
+    ExactOptions opt;
+    opt.engine = EngineKind::Dp;
+    opt.use_subsets = true;
+    opt.budget = std::chrono::milliseconds(120000);
+    opt.num_threads = 1;
+    const auto serial = map_exact(c, cm, opt);
+    ASSERT_EQ(serial.status, Status::Optimal) << cm.name();
+    EXPECT_TRUE(serial.verified) << cm.name() << ": " << serial.verify_message;
+    for (const int threads : {2, 8}) {
+      auto popt = opt;
+      popt.num_threads = threads;
+      expect_identical(serial, map_exact(c, cm, popt),
+                       cm.name() + ", threads " + std::to_string(threads));
+    }
+  }
+}
 
 TEST(WorkStealingSweep, ThreadCountInvarianceOnAllBuiltInArchitectures) {
   // qx2/qx4 exercise dense 5-qubit subset lists; qx5/tokyo exercise wide

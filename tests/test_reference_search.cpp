@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "arch/architectures.hpp"
-#include "arch/swap_costs.hpp"
 #include "bench_circuits/table1_suite.hpp"
 
 namespace qxmap {
@@ -27,25 +26,22 @@ std::vector<std::size_t> all_points(std::size_t num_gates) {
 
 TEST(ReferenceSearch, EmptySkeletonIsFree) {
   const auto cm = arch::ibm_qx4();
-  const arch::SwapCostTable table(cm);
-  const auto r = minimal_cost_reference({}, 3, cm, table, {}, qx_costs());
+  const auto r = minimal_cost_reference({}, 3, cm, {}, qx_costs());
   EXPECT_TRUE(r.feasible);
   EXPECT_EQ(r.cost_f, 0);
 }
 
 TEST(ReferenceSearch, SingleCnotIsFree) {
   const auto cm = arch::ibm_qx4();
-  const arch::SwapCostTable table(cm);
-  const auto r = minimal_cost_reference({Gate::cnot(0, 1)}, 2, cm, table, {}, qx_costs());
+  const auto r = minimal_cost_reference({Gate::cnot(0, 1)}, 2, cm, {}, qx_costs());
   EXPECT_TRUE(r.feasible);
   EXPECT_EQ(r.cost_f, 0);
 }
 
 TEST(ReferenceSearch, OppositeDirectionsCost4) {
   const auto cm = arch::ibm_qx4();
-  const arch::SwapCostTable table(cm);
   const std::vector<Gate> cnots{Gate::cnot(0, 1), Gate::cnot(1, 0)};
-  const auto r = minimal_cost_reference(cnots, 2, cm, table, all_points(2), qx_costs());
+  const auto r = minimal_cost_reference(cnots, 2, cm, all_points(2), qx_costs());
   EXPECT_TRUE(r.feasible);
   EXPECT_EQ(r.cost_f, 4);
 }
@@ -58,23 +54,21 @@ TEST(ReferenceSearch, PaperExampleCosts4) {
     if (g.is_cnot()) cnots.push_back(g);
   }
   const auto cm = arch::ibm_qx4();
-  const arch::SwapCostTable table(cm);
   const auto r =
-      minimal_cost_reference(cnots, 4, cm, table, all_points(cnots.size()), qx_costs());
+      minimal_cost_reference(cnots, 4, cm, all_points(cnots.size()), qx_costs());
   ASSERT_TRUE(r.feasible);
   EXPECT_EQ(r.cost_f, 4);
 }
 
 TEST(ReferenceSearch, InfeasibleWithoutPermutationPoints) {
   const auto cm = arch::ibm_qx4();
-  const arch::SwapCostTable table(cm);
   // K4 interaction pattern cannot sit on QX4 under one placement.
   const std::vector<Gate> cnots{Gate::cnot(0, 1), Gate::cnot(2, 3), Gate::cnot(0, 2),
                                 Gate::cnot(1, 3), Gate::cnot(0, 3), Gate::cnot(1, 2)};
-  const auto r = minimal_cost_reference(cnots, 4, cm, table, {}, qx_costs());
+  const auto r = minimal_cost_reference(cnots, 4, cm, {}, qx_costs());
   EXPECT_FALSE(r.feasible);
   // With permutations it becomes feasible.
-  const auto r2 = minimal_cost_reference(cnots, 4, cm, table, all_points(6), qx_costs());
+  const auto r2 = minimal_cost_reference(cnots, 4, cm, all_points(6), qx_costs());
   EXPECT_TRUE(r2.feasible);
   EXPECT_GT(r2.cost_f, 0);
 }
@@ -82,7 +76,6 @@ TEST(ReferenceSearch, InfeasibleWithoutPermutationPoints) {
 TEST(ReferenceSearch, RestrictingPointsNeverHelps) {
   // F(all points) <= F(fewer points) — monotonicity the paper relies on.
   const auto cm = arch::ibm_qx4();
-  const arch::SwapCostTable table(cm);
   for (const auto& b : bench::table1_benchmarks()) {
     if (b.cnot > 12) continue;  // keep the sweep quick
     const Circuit c = b.build();
@@ -90,11 +83,11 @@ TEST(ReferenceSearch, RestrictingPointsNeverHelps) {
     for (const auto& g : c) {
       if (g.is_cnot()) cnots.push_back(g);
     }
-    const auto full = minimal_cost_reference(cnots, b.n, cm, table,
+    const auto full = minimal_cost_reference(cnots, b.n, cm,
                                              all_points(cnots.size()), qx_costs());
     std::vector<std::size_t> odd;
     for (std::size_t k = 2; k < cnots.size(); k += 2) odd.push_back(k);
-    const auto restricted = minimal_cost_reference(cnots, b.n, cm, table, odd, qx_costs());
+    const auto restricted = minimal_cost_reference(cnots, b.n, cm, odd, qx_costs());
     ASSERT_TRUE(full.feasible);
     if (restricted.feasible) {
       EXPECT_LE(full.cost_f, restricted.cost_f) << b.name;
@@ -105,7 +98,6 @@ TEST(ReferenceSearch, RestrictingPointsNeverHelps) {
 TEST(ReferenceSearch, CostIsMultipleOfGateCosts) {
   // Every achievable F is a nonneg combination of 7 (SWAP) and 4 (reversal).
   const auto cm = arch::ibm_qx4();
-  const arch::SwapCostTable table(cm);
   for (const auto& b : bench::table1_benchmarks()) {
     if (b.n > 4 || b.cnot > 12) continue;
     const Circuit c = b.build();
@@ -114,7 +106,7 @@ TEST(ReferenceSearch, CostIsMultipleOfGateCosts) {
       if (g.is_cnot()) cnots.push_back(g);
     }
     const auto r =
-        minimal_cost_reference(cnots, b.n, cm, table, all_points(cnots.size()), qx_costs());
+        minimal_cost_reference(cnots, b.n, cm, all_points(cnots.size()), qx_costs());
     ASSERT_TRUE(r.feasible);
     bool representable = false;
     for (long long swaps = 0; 7 * swaps <= r.cost_f; ++swaps) {
@@ -126,10 +118,9 @@ TEST(ReferenceSearch, CostIsMultipleOfGateCosts) {
 
 TEST(ReferenceSearch, Validation) {
   const auto cm = arch::ibm_qx4();
-  const arch::SwapCostTable table(cm);
-  EXPECT_THROW((void)minimal_cost_reference({Gate::cnot(0, 1)}, 6, cm, table, {}, qx_costs()),
+  EXPECT_THROW((void)minimal_cost_reference({Gate::cnot(0, 1)}, 6, cm, {}, qx_costs()),
                std::invalid_argument);
-  EXPECT_THROW((void)minimal_cost_reference({Gate::cnot(0, 1)}, 2, cm, table, {}, CostModel{}),
+  EXPECT_THROW((void)minimal_cost_reference({Gate::cnot(0, 1)}, 2, cm, {}, CostModel{}),
                std::invalid_argument);
 }
 

@@ -173,5 +173,33 @@ TEST(RoutingGolden, ExactSubsetsAndReconstruct) {
                  {2, 0, 1}});
 }
 
+/// The same inputs through the default engine, the layout DP, whose
+/// tie-break (exact/reference_search.hpp) fixes the route.
+exact::ExactOptions dp_options() {
+  exact::ExactOptions opt = exact_options();
+  opt.engine = reason::EngineKind::Dp;
+  return opt;
+}
+
+TEST(RoutingGolden, ExactDpFullArchitecture) {
+  const auto res = exact::map_exact(qx4_five_qubit(), arch::ibm_qx4(), dp_options());
+  ASSERT_EQ(res.status, reason::Status::Optimal);
+  expect_pin(res,
+             Pin{"c5:fa2a485fc0c350cf", 1, 2,
+                 {3, 0, 1, 4, 2},
+                 {3, 0, 1, 2, 4}});
+}
+
+TEST(RoutingGolden, ExactDpSubsetsAndReconstruct) {
+  exact::ExactOptions opt = dp_options();
+  opt.use_subsets = true;
+  const auto res = exact::map_exact(row("ham3_102"), arch::ibm_qx4(), opt);
+  ASSERT_EQ(res.status, reason::Status::Optimal);
+  expect_pin(res,
+             Pin{"c5:c4f8008a9103f2e8", 2, 1,
+                 {2, 0, 1},
+                 {2, 0, 1}});
+}
+
 }  // namespace
 }  // namespace qxmap

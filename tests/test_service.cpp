@@ -198,6 +198,19 @@ TEST(MappingServiceKey, ResultAffectingOptionsForkEntries) {
   costs.exact.costs.reverse_cost = 5;
   EXPECT_NE(MappingService::cache_key(c, cm, costs), base_key);
 
+  // The default Dp engine and an explicit Cdcl request prove the same cost
+  // but may route it differently, so they must not share an entry.
+  ASSERT_EQ(base.exact.engine, reason::EngineKind::Dp);
+  MapOptions cdcl = base;
+  cdcl.exact.engine = reason::EngineKind::Cdcl;
+  EXPECT_NE(MappingService::cache_key(c, cm, cdcl), base_key);
+  EXPECT_NE(base_key.find("engine=dp"), std::string::npos) << base_key;
+  // Without Z3 support an explicit Z3 request runs, and is keyed as, Cdcl.
+  MapOptions z3 = base;
+  z3.exact.engine = reason::EngineKind::Z3;
+  EXPECT_EQ(MappingService::cache_key(c, cm, z3) == MappingService::cache_key(c, cm, cdcl),
+            !reason::z3_available());
+
   MapOptions method = base;
   method.method = Method::Sabre;
   EXPECT_NE(MappingService::cache_key(c, cm, method), base_key);
