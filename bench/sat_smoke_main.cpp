@@ -7,17 +7,12 @@
 /// `--engine dp` it checks the default exact engine against the same file.
 ///
 /// Usage: bench_sat_smoke [--smoke] [--baseline PATH] [--budget-ms N]
-///                        [--mode descending|binary|both] [--engine cdcl|dp]
+///                        [--engine cdcl|dp]
 ///   --smoke         no-op flag naming the CI mode (kept for readability)
 ///   --baseline PATH BENCH_table1.json to check against (default:
 ///                   ./BENCH_table1.json)
 ///   --budget-ms N   override the per-solve budget (default: the baseline
 ///                   file's budget_ms)
-///   --mode M        which optimisation strategy re-proves the rows:
-///                   the descending-bound loop, the incremental
-///                   assumption-probe binary search, or both in sequence
-///                   (default both — proven costs must agree either way;
-///                   ignored by --engine dp)
 ///   --engine E      cdcl (default) re-proves the proven rows through the
 ///                   SAT path. dp runs the layout DP on every row instead:
 ///                   each proven row must reproduce its cost exactly and
@@ -106,7 +101,6 @@ Baseline load_baseline(const std::string& path) {
 int main(int argc, char** argv) {
   std::string baseline_path = "BENCH_table1.json";
   long long budget_ms = -1;
-  std::string mode = "both";
   reason::EngineKind engine = reason::EngineKind::Cdcl;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -115,12 +109,6 @@ int main(int argc, char** argv) {
       baseline_path = argv[++i];
     } else if (arg == "--budget-ms" && i + 1 < argc) {
       budget_ms = std::stoll(argv[++i]);
-    } else if (arg == "--mode" && i + 1 < argc) {
-      mode = argv[++i];
-      if (mode != "descending" && mode != "binary" && mode != "both") {
-        std::cerr << "bench_sat_smoke: --mode must be descending, binary or both\n";
-        return 2;
-      }
     } else if (arg == "--engine" && i + 1 < argc) {
       const std::string name = argv[++i];
       if (name != "cdcl" && name != "dp") {
@@ -144,39 +132,32 @@ int main(int argc, char** argv) {
   if (budget_ms <= 0) budget_ms = baseline.budget_ms;
 
   const bool dp = engine == reason::EngineKind::Dp;
-  std::vector<reason::OptimizationMode> modes;
-  if (dp || mode != "binary") modes.push_back(reason::OptimizationMode::DescendingLinear);
-  if (!dp && mode != "descending") modes.push_back(reason::OptimizationMode::BinarySearch);
+  exact::ExactOptions opt;
+  opt.engine = engine;
+  opt.use_subsets = true;
+  opt.budget = std::chrono::milliseconds(budget_ms);
+  const std::string engine_name = reason::to_string(engine);
 
   int checked = 0;
   int failed = 0;
-  for (const auto opt_mode : modes) {
-    exact::ExactOptions opt;
-    opt.engine = engine;
-    opt.use_subsets = true;
-    opt.budget = std::chrono::milliseconds(budget_ms);
-    opt.optimization = opt_mode;
-    const char* mode_name =
-        dp ? "dp" : opt_mode == reason::OptimizationMode::BinarySearch ? "binary" : "descending";
-    for (const auto& row : baseline.rows) {
-      // Budget-bound rows are timing-dependent under SAT; the DP proves them.
-      if (!row.proven && !dp) continue;
-      ++checked;
-      const Circuit circuit = bench::table1_benchmark(row.circuit).build();
-      const auto res = exact::map_exact(circuit, arch::ibm_qx4(), opt);
-      const bool proven = res.status == reason::Status::Optimal;
-      const auto cost = static_cast<long long>(res.mapped.size());
-      const bool ok = proven && (row.proven ? cost == row.cost : cost <= row.cost);
-      std::cout << (ok ? "  ok   " : "  FAIL ") << row.circuit << " [" << mode_name
-                << "]: cost " << cost << " (baseline " << row.cost << "), "
-                << (proven ? "proven" : "NOT proven") << ", "
-                << static_cast<long long>(res.seconds * 1000.0) << " ms\n";
-      if (!ok) ++failed;
-    }
+  for (const auto& row : baseline.rows) {
+    // Budget-bound rows are timing-dependent under SAT; the DP proves them.
+    if (!row.proven && !dp) continue;
+    ++checked;
+    const Circuit circuit = bench::table1_benchmark(row.circuit).build();
+    const auto res = exact::map_exact(circuit, arch::ibm_qx4(), opt);
+    const bool proven = res.status == reason::Status::Optimal;
+    const auto cost = static_cast<long long>(res.mapped.size());
+    const bool ok = proven && (row.proven ? cost == row.cost : cost <= row.cost);
+    std::cout << (ok ? "  ok   " : "  FAIL ") << row.circuit << " [" << engine_name
+              << "]: cost " << cost << " (baseline " << row.cost << "), "
+              << (proven ? "proven" : "NOT proven") << ", "
+              << static_cast<long long>(res.seconds * 1000.0) << " ms\n";
+    if (!ok) ++failed;
   }
 
   std::cout << "bench_sat_smoke: " << (checked - failed) << "/" << checked
             << (dp ? " baseline rows proved by the DP" : " proven baseline rows re-proved")
-            << " at " << budget_ms << " ms (mode " << (dp ? "dp" : mode) << ")\n";
+            << " at " << budget_ms << " ms (engine " << engine_name << ")\n";
   return failed == 0 ? 0 : 1;
 }

@@ -77,7 +77,6 @@ std::string options_digest(const MapOptions& o, const arch::CouplingMap& archite
       // backend, so the two requested kinds produce identical results and
       // must share an entry.
       d += "exact;engine=" + reason::to_string(reason::running_engine(e.engine));
-      d += ";opt=" + std::to_string(static_cast<int>(e.optimization));
       d += ";strategy=" + exact::to_string(e.strategy);
       d += ";subsets=" + std::to_string(e.use_subsets ? 1 : 0);
       d += ";budget_ms=" + std::to_string(e.budget.count());
@@ -133,6 +132,15 @@ std::string options_digest(const MapOptions& o, const arch::CouplingMap& archite
 void restamp_names(exact::MappingResult& r, const Circuit& circuit) {
   r.mapped.set_name(circuit.name() + "/mapped");
   r.routed_skeleton.set_name(circuit.name() + "/routed-skeleton");
+}
+
+/// Whether `result` is the answer every later identical request would get.
+/// An exact result cut short by its budget (Feasible or Unknown) is not: a
+/// retry — perhaps at more threads, which the key ignores — may prove the
+/// optimum, so only Optimal and Unsat exact results enter the cache.
+bool is_final(const MapOptions& options, const exact::MappingResult& result) {
+  return options.method != Method::Exact || result.status == reason::Status::Optimal ||
+         result.status == reason::Status::Unsat;
 }
 
 }  // namespace
@@ -229,7 +237,7 @@ exact::MappingResult MappingService::solve_as_leader(
     ++stats_.solves;
     ServiceMetrics::get().solves.inc();
     in_flight_.erase(key);
-    if (capacity_ > 0 && cache_.find(key) == cache_.end()) {
+    if (capacity_ > 0 && is_final(options, result) && cache_.find(key) == cache_.end()) {
       while (cache_.size() >= capacity_) {
         ++stats_.evictions;
         ServiceMetrics::get().evictions.inc();

@@ -17,7 +17,9 @@
 ///    returns a copy of the stored result with `from_cache = true` and the
 ///    mapped/skeleton circuit names restamped for the requesting circuit
 ///    (two same-fingerprint circuits may differ in name, which is not part
-///    of the identity).
+///    of the identity). An exact result is cached only when it is
+///    `Optimal` or `Unsat`: one whose budget expired (`Feasible` or
+///    `Unknown`) is returned to its callers and solved afresh next time.
 ///  * **In-flight deduplication.** Concurrent `map()` calls with the same
 ///    key share one solve: the first caller (the leader) computes; later
 ///    callers (joiners) block on a `std::shared_future` of the leader's

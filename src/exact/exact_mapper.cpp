@@ -160,7 +160,7 @@ std::uint64_t elapsed_ns(Clock::time_point since) {
 
 /// Hardness proxy per instance for the hardest-first pop order: the
 /// undirected edge count of the induced coupling subgraph. Sparse subsets
-/// need more SWAPs, so their descending search runs longest; starting them
+/// need more SWAPs, so their search runs longest; starting them
 /// while the shared Eq. (5) bound is still loose maximises how much of
 /// that work later bounds can abort, while dense subsets finish quickly
 /// anywhere and publish tight bounds early. The ShardExecutor queue orders
@@ -511,7 +511,6 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
         slot->seen_tightenings = 0;
       }
       reason::ReasoningEngine& engine = *slot->engine;
-      engine.set_optimization_mode(options.optimization);
       std::optional<Encoding> enc;
       {
         const auto t0 = Clock::now();
@@ -662,7 +661,6 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
     span.attr("cost", canonical);
     const arch::CouplingMap induced = cm.induced(best->subset);
     auto engine = reason::make_engine(options.engine);
-    engine->set_optimization_mode(options.optimization);
     const Encoding enc(*engine, cnots, n, induced, *best->table, points, costs);
     engine->set_upper_bound(canonical);
     const reason::Outcome outcome = engine->minimize(nominal_share);

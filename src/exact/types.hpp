@@ -81,15 +81,10 @@ struct ExactOptions {
   /// exact/reference_search.hpp in every build: the same proven optima as
   /// the symbolic formulation, computed directly. Cdcl and Z3 solve the
   /// paper's symbolic formulation (Sec. 3) and run only when requested; Z3
-  /// degrades to Cdcl in builds without Z3 support.
+  /// degrades to Cdcl in builds without Z3 support. Cdcl approaches the
+  /// minimum by binary search on the cost bound (Sec. 3.3, see
+  /// reason/cdcl_engine.hpp); Z3 minimizes natively.
   reason::EngineKind engine = reason::EngineKind::Dp;
-  /// How a SAT engine approaches the Eq. (5) minimum (Sec. 3.3): a
-  /// descending bound loop, or binary-search probes that assert speculative
-  /// bounds as assumption literals against one incremental solver. Both
-  /// return the same status and cost; wall time per instance differs.
-  /// Backends that minimize natively (Z3) and the Dp engine ignore the
-  /// selection.
-  reason::OptimizationMode optimization = reason::OptimizationMode::DescendingLinear;
   PermutationStrategy strategy = PermutationStrategy::All;
   /// Sec. 4.1: solve one instance per connected n-subset of physical qubits
   /// instead of one instance over all m.

@@ -224,23 +224,20 @@ struct CdclMetrics {
 
 Outcome CdclEngine::minimize(std::chrono::milliseconds budget) {
   obs::Span span("cdcl.minimize", "cdcl");
-  span.attr("mode", mode_ == OptimizationMode::BinarySearch ? "binary" : "descending");
   const sat::SolverStats before = solver_.stats();
   const long long polls_before = stats_.bound_polls;
   const long long tightenings_before = stats_.bound_tightenings;
   const auto deadline = std::chrono::steady_clock::now() + budget;
   // Known external bound: start with objective <= bound already enforced.
-  // Both modes run on solver_, so this single enforcement covers them.
   if (upper_bound_) apply_external_bound(*upper_bound_);
   // Preprocessing before the timing-sensitive loop: propagate level-0 facts
   // (the encoding produces many units) to fixpoint and shed satisfied /
   // falsified-literal clauses once, instead of carrying them through every
-  // descending step.
+  // probe.
   solver_.simplify();
   Checkpoints cp{deadline, obs::TraceRecorder::enabled(), solver_.stats().restarts,
                  solver_.stats().learnt_deleted};
-  const Outcome out = mode_ == OptimizationMode::BinarySearch ? minimize_binary(cp)
-                                                              : minimize_descending(cp);
+  const Outcome out = bisect(cp);
   const sat::SolverStats& ss = solver_.stats();
   CdclMetrics& metrics = CdclMetrics::get();
   metrics.conflicts.inc(ss.conflicts - before.conflicts);
@@ -302,53 +299,13 @@ std::optional<sat::SolveResult> CdclEngine::solve_checked(Checkpoints& cp,
   return r;
 }
 
-Outcome CdclEngine::minimize_descending(Checkpoints& cp) {
-  Outcome out;
-  for (;;) {
-    // Between-solve checkpoint: adopt any bound published while the previous
-    // solve ran (and guarantee at least one poll per minimize call).
-    poll_and_tighten();
-    cp.countdown = kPollConflictInterval;
-    const std::optional<sat::SolveResult> solved = solve_checked(cp);
-    if (!solved) continue;
-    const sat::SolveResult r = *solved;
-    if (r == sat::SolveResult::Unsatisfiable) {
-      if (has_model_ && model_cost() <= external_limit_) {
-        out.status = Status::Optimal;
-        out.cost = model_cost();
-      } else {
-        // No model at all, or only models costlier than the tightest
-        // external bound (found before that bound arrived): under the
-        // bounded contract both mean "cannot beat the incumbent", reported
-        // as Unsat — exactly as if the bound had been set before the solve.
-        out.status = Status::Unsat;
-      }
-      return out;
-    }
-    if (r == sat::SolveResult::Unknown) {
-      return budget_outcome();
-    }
-    // Satisfiable: snapshot the model, tighten, and go again.
-    snapshot_model();
-    const long long cost = model_cost();
-    if (cost == 0) {
-      out.status = Status::Optimal;
-      out.cost = 0;
-      return out;
-    }
-    add_cost_bound(cost - 1);
-  }
-}
-
-Outcome CdclEngine::minimize_binary(Checkpoints& cp) {
-  // Incremental binary search (Sec. 3.3 "set F to a fixed value"): every
-  // probe runs on solver_ with the speculative bound asserted as an
+Outcome CdclEngine::bisect(Checkpoints& cp) {
+  // Every probe runs on solver_ with the speculative bound asserted as an
   // *assumption* on a GTE output, never as a clause — the clause database
   // only ever receives monotone facts (model costs, external bounds), so
   // learnt clauses, phases and activities survive probes in both
-  // directions. In-solve checkpoints ride the same conflict-boundary
-  // interrupt as the descending loop; a tighter published bound aborts the
-  // probe and shrinks the search window before the next one.
+  // directions. A tighter bound published mid-probe aborts the probe and
+  // shrinks the search window before the next one.
   Outcome out;
   // First solve under whatever is enforced so far, to obtain an upper bound.
   for (;;) {
@@ -375,7 +332,7 @@ Outcome CdclEngine::minimize_binary(Checkpoints& cp) {
   long long lo = 0;
   for (;;) {
     // Between-probe checkpoint: adopt bounds published while the previous
-    // probe ran. External bounds are permanent units, as in descending mode.
+    // probe ran. External bounds are permanent units.
     poll_and_tighten();
     if (lo > external_limit_) {
       // Proven: every model costs more than the external bound.
@@ -393,7 +350,7 @@ Outcome CdclEngine::minimize_binary(Checkpoints& cp) {
     // GTE's monotonicity clauses propagate the rest of the outputs.
     const auto above = ge_.upper_bound(mid);
     if (above == ge_.end()) {
-      throw std::logic_error("CdclEngine::minimize_binary: no GTE output above probe bound");
+      throw std::logic_error("CdclEngine::bisect: no GTE output above probe bound");
     }
     const std::optional<sat::SolveResult> r = solve_checked(cp, {~above->second});
     if (!r) continue;  // window shrinks via cap next iteration
@@ -415,7 +372,8 @@ Outcome CdclEngine::minimize_binary(Checkpoints& cp) {
   }
   if (hi > external_limit_) {
     // Proven: nothing at or below the external bound exists (the best model
-    // sits above it) — bounded-Unsat, as with the descending loop.
+    // sits above it, found before that bound arrived) — bounded-Unsat, as
+    // if the bound had been set before minimize().
     out.status = Status::Unsat;
     return out;
   }

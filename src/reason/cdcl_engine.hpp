@@ -1,26 +1,25 @@
 /// \file cdcl_engine.hpp
 /// Reasoning engine backed by the library's own CDCL solver (src/sat).
 ///
-/// Optimisation is a descending-bound loop: solve, read off the model cost,
-/// add clauses forbidding any assignment of that cost or worse, repeat until
-/// UNSAT (the last model is then provably optimal) or until the budget runs
-/// out (Feasible). The weighted bound (Eq. 5: 7·swaps(π) per y, 4 per z) is
-/// enforced with a generalized totalizer (GTE): a tree over the weighted
-/// cost literals whose root carries one "sum >= w" indicator per attainable
-/// weight w, clamped at the first bound + 1; tightening to a smaller bound B
-/// then only needs unit clauses ¬(sum >= B') for the smallest attainable
-/// B' > B (monotonicity clauses force the rest).
-///
-/// Binary search (Sec. 3.3 "set F to a fixed value") runs against the same
-/// incremental solver: the GTE is built once, clamped at the first model's
-/// cost, and each probe at mid asserts the *assumption* ¬(sum >= B') for the
-/// smallest attainable B' > mid — speculative bounds never enter the clause
-/// database, so learnt clauses, phases and activities survive every probe in
-/// both directions. Only monotone facts (a model's own cost, external
-/// bounds) are committed as permanent units.
+/// Optimisation is an incremental binary search on the cost bound (Sec. 3.3
+/// "set F to a fixed value and approach towards the minimum, e.g., by
+/// applying a binary search"). A first solve yields a model and an upper
+/// bound; each probe at mid then asks for a model of cost <= mid. The
+/// weighted bound (Eq. 5: 7·swaps(π) per y, 4 per z) is enforced with a
+/// generalized totalizer (GTE): a tree over the weighted cost literals
+/// whose root carries one "sum >= w" indicator per attainable weight w,
+/// clamped one above the first bound enforced (an external bound or the
+/// first model's cost). A probe asserts the *assumption* ¬(sum >= B') for
+/// the smallest attainable B' > mid (monotonicity clauses force the rest),
+/// so speculative bounds never enter the clause database and learnt
+/// clauses, phases and activities survive every probe in both directions.
+/// Only monotone facts (a model's own cost, external bounds) are committed
+/// as permanent unit clauses. The search ends when the probe window is
+/// empty: the last model is then provably optimal. When the budget runs out
+/// first, the best model is reported as Feasible.
 ///
 /// Cooperative tightening (docs/concurrency.md): with a bound source
-/// installed, both loops poll it between solves and — via the SAT solver's
+/// installed, the loop polls it between probes and — via the SAT solver's
 /// conflict-boundary interrupt — every kPollConflictInterval conflicts
 /// *inside* a solve. A strictly tighter published bound aborts the in-flight
 /// solve at the next conflict boundary, re-tightens the GTE with unit
@@ -43,14 +42,11 @@ namespace qxmap::reason {
 /// ReasoningEngine implementation on top of sat::Solver.
 class CdclEngine final : public ReasoningEngine {
  public:
-  /// Selects the optimization mode; call before minimize().
-  void set_optimization_mode(OptimizationMode mode) noexcept override { mode_ = mode; }
-
   int new_bool() override;
   void add_clause(const std::vector<int>& lits) override;
   void add_cost(int var, long long weight) override;
   /// Enforces objective <= bound via the GTE before the first solve, so the
-  /// descending loop starts below an externally known model cost.
+  /// search starts below an externally known model cost.
   void set_upper_bound(long long bound) override;
   Outcome minimize(std::chrono::milliseconds budget) override;
   [[nodiscard]] bool value(int var) const override;
@@ -95,9 +91,9 @@ class CdclEngine final : public ReasoningEngine {
   /// observed-vs-enforced contract, docs/concurrency.md).
   [[nodiscard]] Outcome budget_outcome() const;
 
-  /// Interrupt state of one minimize() call, shared by every solve its loop
-  /// runs: the budget deadline, the in-solve poll countdown, the bound a
-  /// poll aborted on, and the trace-milestone cursors.
+  /// Interrupt state of one minimize() call, shared by every solve the
+  /// search runs: the budget deadline, the in-solve poll countdown, the
+  /// bound a poll aborted on, and the trace-milestone cursors.
   struct Checkpoints {
     std::chrono::steady_clock::time_point deadline;
     /// Sampled once, so the disabled path costs nothing per conflict.
@@ -112,8 +108,9 @@ class CdclEngine final : public ReasoningEngine {
   /// enforced and the caller re-solves.
   std::optional<sat::SolveResult> solve_checked(Checkpoints& cp,
                                                 const std::vector<sat::Lit>& assumptions = {});
-  Outcome minimize_descending(Checkpoints& cp);
-  Outcome minimize_binary(Checkpoints& cp);
+  /// The binary search itself; minimize() wraps it with preprocessing,
+  /// tracing and metrics.
+  Outcome bisect(Checkpoints& cp);
 
   /// Engine-level state captured by mark_prefix (the sat::Solver itself is
   /// copyable by design — contiguous arena + plain vectors).
@@ -128,10 +125,9 @@ class CdclEngine final : public ReasoningEngine {
   };
 
   sat::Solver solver_;
-  OptimizationMode mode_ = OptimizationMode::DescendingLinear;
   std::optional<long long> upper_bound_;
-  /// Tightest bound ever passed to add_cost_bound (internal descents and
-  /// external bounds alike); a polled value prunes only if below this.
+  /// Tightest bound ever passed to add_cost_bound (model costs and external
+  /// bounds alike); a polled value prunes only if below this.
   long long enforced_ = kNoBound;
   /// Tightest *external* bound observed (set_upper_bound or any poll). A
   /// model costlier than this is reported as bounded-Unsat, never Optimal,

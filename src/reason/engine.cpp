@@ -34,8 +34,6 @@ void ReasoningEngine::add_at_most_one(const std::vector<int>& lits) {
 
 void ReasoningEngine::set_upper_bound(long long /*bound*/) {}
 
-void ReasoningEngine::set_optimization_mode(OptimizationMode /*mode*/) {}
-
 bool ReasoningEngine::mark_prefix() { return false; }
 
 bool ReasoningEngine::reset_to_prefix() { return false; }

@@ -180,15 +180,6 @@ TEST(SharedBoundContract, BoundBelowOptimumTerminatesAsBoundedUnsat) {
   EXPECT_EQ(out.status, Status::Unsat);
 }
 
-TEST(SharedBoundContract, BinarySearchModeHonoursTheBound) {
-  bound::SmallObjective p;
-  p.engine.set_optimization_mode(reason::OptimizationMode::BinarySearch);
-  p.engine.set_upper_bound(3);
-  const auto out = p.engine.minimize(std::chrono::milliseconds(5000));
-  EXPECT_EQ(out.status, Status::Optimal);
-  EXPECT_EQ(out.cost, 3);
-}
-
 TEST(SharedBoundContract, NegativeBoundIsRejected) {
   bound::SmallObjective p;
   EXPECT_THROW(p.engine.set_upper_bound(-1), std::invalid_argument);
@@ -196,10 +187,10 @@ TEST(SharedBoundContract, NegativeBoundIsRejected) {
 
 // --- Cooperative mid-solve tightening at the engine level -------------------
 //
-// set_bound_source installs a live view of the shared bound; the engine must
-// poll it at least once per minimize() (loop-start checkpoint), count polls
-// and tightenings in stats(), and report outcomes exactly as if the
-// tightest polled value had been passed to set_upper_bound up front.
+// set_bound_source installs a live view of the shared bound; the engine
+// polls it between probes and inside solves, counts polls and tightenings
+// in stats(), and reports outcomes exactly as if the tightest polled value
+// had been passed to set_upper_bound up front.
 
 TEST(CooperativeTightening, SourceAboveOptimumKeepsOptimum) {
   bound::SmallObjective p;
@@ -226,6 +217,7 @@ TEST(CooperativeTightening, SourceBelowOptimumTerminatesAsBoundedUnsat) {
   p.engine.set_bound_source([] { return 2LL; });
   const auto out = p.engine.minimize(std::chrono::milliseconds(5000));
   EXPECT_EQ(out.status, Status::Unsat);
+  EXPECT_GE(p.engine.stats().bound_polls, 1);
   EXPECT_GE(p.engine.stats().bound_tightenings, 1);
 }
 
@@ -241,7 +233,7 @@ TEST(CooperativeTightening, NoBoundSentinelIsNeutral) {
 
 TEST(CooperativeTightening, MonotoneSourceSimulatingSiblingProgress) {
   // The source value drops as the engine works — exactly what a sibling
-  // shard descending on its own instance produces. The engine must converge
+  // shard tightening its own instance produces. The engine must converge
   // on bounded-Unsat once the source falls below its optimum, whatever the
   // interleaving: outcomes depend only on the tightest value polled.
   bound::SmallObjective p;
@@ -255,25 +247,7 @@ TEST(CooperativeTightening, MonotoneSourceSimulatingSiblingProgress) {
   EXPECT_GE(p.engine.stats().bound_tightenings, 2);  // kNoBound -> 7 -> 2
 }
 
-TEST(CooperativeTightening, BinarySearchModePollsBetweenProbes) {
-  bound::SmallObjective p;
-  p.engine.set_optimization_mode(reason::OptimizationMode::BinarySearch);
-  p.engine.set_bound_source([] { return 2LL; });
-  const auto out = p.engine.minimize(std::chrono::milliseconds(5000));
-  EXPECT_EQ(out.status, Status::Unsat);
-  EXPECT_GE(p.engine.stats().bound_polls, 1);
-}
-
-TEST(CooperativeTightening, BinarySearchModeSourceAboveOptimum) {
-  bound::SmallObjective p;
-  p.engine.set_optimization_mode(reason::OptimizationMode::BinarySearch);
-  p.engine.set_bound_source([] { return 3LL; });
-  const auto out = p.engine.minimize(std::chrono::milliseconds(5000));
-  EXPECT_EQ(out.status, Status::Optimal);
-  EXPECT_EQ(out.cost, 3);
-}
-
-// --- Incremental binary search: probe statistics and deadline contract -------
+// --- Binary search: probe statistics and deadline contract ------------------
 
 TEST(BinarySearchProbeContract, ProbeConflictsLandInEngineStats) {
   // Regression: probes used to run on a throwaway solver whose statistics
@@ -281,7 +255,6 @@ TEST(BinarySearchProbeContract, ProbeConflictsLandInEngineStats) {
   // were all probes. The unit-cost triple forces the probe at bound 0 into
   // a conflict on the shared solver, which must be visible afterwards.
   reason::CdclEngine engine;
-  engine.set_optimization_mode(reason::OptimizationMode::BinarySearch);
   const int a = engine.new_bool();
   const int b = engine.new_bool();
   const int c = engine.new_bool();
@@ -305,7 +278,6 @@ TEST(BinarySearchProbeContract, DeadlineWithModelAboveExternalBoundIsUnknown) {
   // loop-start poll then observes the sibling bound 4, and the expired
   // deadline must yield Unknown, never Feasible(5).
   bound::SmallObjective p;
-  p.engine.set_optimization_mode(reason::OptimizationMode::BinarySearch);
   p.engine.set_bound_source([] { return 4LL; });
   const auto out = p.engine.minimize(std::chrono::milliseconds(0));
   EXPECT_EQ(out.status, Status::Unknown);
@@ -314,22 +286,10 @@ TEST(BinarySearchProbeContract, DeadlineWithModelAboveExternalBoundIsUnknown) {
 TEST(BinarySearchProbeContract, DeadlineWithModelWithinExternalBoundIsFeasible) {
   // Companion: the same expiry under a loose sibling bound keeps the model.
   bound::SmallObjective p;
-  p.engine.set_optimization_mode(reason::OptimizationMode::BinarySearch);
   p.engine.set_bound_source([] { return 7LL; });
   const auto out = p.engine.minimize(std::chrono::milliseconds(0));
   EXPECT_EQ(out.status, Status::Feasible);
   EXPECT_EQ(out.cost, 5);
-}
-
-TEST(BinarySearchProbeContract, DescendingZeroBudgetConvergesByPropagationAlone) {
-  // Contrast case for the descending loop: its solves here never meet a
-  // conflict, so a zero budget is never consulted and the polled bound
-  // still drives the descent to a proven optimum.
-  bound::SmallObjective p;
-  p.engine.set_bound_source([] { return 4LL; });
-  const auto out = p.engine.minimize(std::chrono::milliseconds(0));
-  EXPECT_EQ(out.status, Status::Optimal);
-  EXPECT_EQ(out.cost, 3);
 }
 
 // --- Prefix snapshot / rollback on the engine --------------------------------
@@ -359,39 +319,22 @@ TEST(PrefixReuse, ResetWithoutMarkIsRefused) {
   EXPECT_FALSE(engine.reset_to_prefix());
 }
 
-// --- Optimization-mode equivalence on Table-1 instances ----------------------
+// --- Thread-count determinism on Table-1 instances --------------------------
 
-TEST(OptimizationModeEquivalence, ModesAndThreadsAgreeOnTable1SmallRows) {
-  // Sec. 3.3 offers both strategies; they must agree on status and minimal
-  // cost for every thread count, and within a mode the full result must stay
-  // bit-identical across thread counts (the incremental binary path shares
-  // engines across a shard's instances, which must not perturb determinism).
+TEST(CdclThreadDeterminism, Table1SmallRowsAreIdenticalAcrossThreadCounts) {
+  // The binary search shares engines across a shard's instances (prefix
+  // reuse) and its probes see whatever bound siblings have published; the
+  // canonical re-solve must still make the full result bit-identical at
+  // every thread count.
   for (const char* name : {"ex-1_166", "ham3_102"}) {
     const Circuit c = bench::table1_benchmark(name).build();
-    MappingResult reference;
-    bool have_reference = false;
-    for (const auto mode :
-         {reason::OptimizationMode::DescendingLinear, reason::OptimizationMode::BinarySearch}) {
-      const char* mode_name =
-          mode == reason::OptimizationMode::BinarySearch ? "binary" : "descending";
-      auto serial_opt = subset_options(EngineKind::Cdcl, 1);
-      serial_opt.optimization = mode;
-      const auto serial = map_exact(c, arch::ibm_qx4(), serial_opt);
-      ASSERT_EQ(serial.status, Status::Optimal) << name << ", " << mode_name;
-      if (!have_reference) {
-        reference = serial;
-        have_reference = true;
-      } else {
-        EXPECT_EQ(serial.status, reference.status) << name;
-        EXPECT_EQ(serial.cost_f, reference.cost_f) << name << ": modes disagree on the optimum";
-      }
-      for (const int threads : {2, 8}) {
-        auto opt = serial_opt;
-        opt.num_threads = threads;
-        const auto parallel = map_exact(c, arch::ibm_qx4(), opt);
-        expect_identical(serial, parallel, std::string(name) + ", " + mode_name + ", threads " +
-                                               std::to_string(threads));
-      }
+    const auto serial = map_exact(c, arch::ibm_qx4(), subset_options(EngineKind::Cdcl, 1));
+    ASSERT_EQ(serial.status, Status::Optimal) << name;
+    for (const int threads : {2, 8}) {
+      const auto parallel =
+          map_exact(c, arch::ibm_qx4(), subset_options(EngineKind::Cdcl, threads));
+      expect_identical(serial, parallel,
+                       std::string(name) + ", threads " + std::to_string(threads));
     }
   }
 }
@@ -450,8 +393,8 @@ TEST(MidSolveTightening, CheapSubsetAbortsInFlightExpensiveShards) {
   EXPECT_EQ(res.cost_f, 0);
   EXPECT_EQ(res.instances_solved, 6);
   EXPECT_TRUE(res.verified) << res.verify_message;
-  // Engines poll the shared bound at least once per solve, so polls are
-  // guaranteed; the tightenings prove the cycle subset's cost-0 bound landed
+  // Every sparse shard polls the shared bound between its probes and
+  // inside its long solves, so polls are certain; the tightenings prove the cycle subset's cost-0 bound landed
   // *inside* sparse shards that were already solving (the serial schedule
   // only ever hands bounds over at solve start).
   EXPECT_GE(res.bound_polls, 6);
@@ -460,8 +403,8 @@ TEST(MidSolveTightening, CheapSubsetAbortsInFlightExpensiveShards) {
 
 TEST(MidSolveTightening, SerialRunNeverTightensMidSolve) {
   // At one thread every bound is published before the next instance starts,
-  // so loop-start polls see it but nothing arrives mid-solve; the result
-  // must still be bit-identical to the parallel run.
+  // so polls see only bounds enforced at solve start, never one mid-solve;
+  // the result must still be bit-identical to the parallel run.
   const auto cm = steal::tail_cycle6();
   const Circuit c = steal::cycle_workload(2);
   ExactOptions opt;

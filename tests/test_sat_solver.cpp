@@ -351,7 +351,7 @@ TEST(SatSolver, SearchCountersArePinned) {
 TEST(SatSolver, Table1RowSearchCountersArePinned) {
   // One Table-1 row end to end through the CDCL engine: the Sec. 3
   // encoding of 4gt11_82 on QX4 under the All strategy, minimised by the
-  // descending loop to a proven optimum.
+  // assumption-probe binary search to a proven optimum.
   const auto cm = arch::ibm_qx4();
   const arch::SwapCostTable table(cm);
   const Circuit circuit = bench::table1_benchmark("4gt11_82").build();
@@ -367,13 +367,13 @@ TEST(SatSolver, Table1RowSearchCountersArePinned) {
   ASSERT_EQ(out.status, reason::Status::Optimal);
   EXPECT_EQ(out.cost, 33);
   sat::SolverStats want;
-  want.conflicts = 7307;
-  want.decisions = 65124;
-  want.propagations = 5612193;
-  want.learned = 7306;
-  want.lbd_sum = 337621;
-  want.restarts = 51;
-  want.learnt_deleted = 4168;
+  want.conflicts = 6018;
+  want.decisions = 34879;
+  want.propagations = 4517992;
+  want.learned = 6018;
+  want.lbd_sum = 178428;
+  want.restarts = 33;
+  want.learnt_deleted = 2256;
   expect_counters(engine.solver_stats(), want);
 }
 

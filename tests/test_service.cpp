@@ -158,6 +158,47 @@ TEST(MappingServiceCache, ZeroCapacityNeverCaches) {
   EXPECT_EQ(service.stats().solves, 2u);
 }
 
+TEST(MappingServiceCache, OnlyFinalExactResultsAreCached) {
+  // An exact solve cut short by its budget (Feasible) is not the answer a
+  // retry would give — num_threads is outside the key, so a later request
+  // may run with more threads — and must be solved again. An Optimal result
+  // and a heuristic's (always Feasible) result are final and replay.
+  std::atomic<int> calls{0};
+  reason::Status exact_status = reason::Status::Feasible;
+  MappingService service(4, [&](const Circuit& c, const arch::CouplingMap&, const MapOptions& o) {
+    ++calls;
+    MappingResult r;
+    r.mapped = Circuit(5, c.name() + "/mapped");
+    r.routed_skeleton = Circuit(5, c.name() + "/routed-skeleton");
+    r.status = o.method == Method::Exact ? exact_status : reason::Status::Feasible;
+    return r;
+  });
+  const Circuit c = small_circuit("svc-final");
+  const auto cm = arch::ibm_qx4();
+  const MapOptions exact = exact_options();
+
+  EXPECT_EQ(service.map(c, cm, exact).status, reason::Status::Feasible);
+  EXPECT_EQ(service.size(), 0u);
+  const MappingResult again = service.map(c, cm, exact);
+  EXPECT_FALSE(again.from_cache);
+  EXPECT_EQ(calls.load(), 2);
+
+  exact_status = reason::Status::Optimal;
+  EXPECT_FALSE(service.map(c, cm, exact).from_cache);
+  EXPECT_EQ(calls.load(), 3);
+  const MappingResult hit = service.map(c, cm, exact);
+  EXPECT_TRUE(hit.from_cache);
+  EXPECT_EQ(hit.status, reason::Status::Optimal);
+  EXPECT_EQ(calls.load(), 3);
+
+  MapOptions sabre = exact;
+  sabre.method = Method::Sabre;
+  EXPECT_FALSE(service.map(c, cm, sabre).from_cache);
+  EXPECT_TRUE(service.map(c, cm, sabre).from_cache);
+  EXPECT_EQ(calls.load(), 4);
+  EXPECT_EQ(service.stats().solves, 4u);
+}
+
 TEST(MappingServiceKey, PerformanceKnobsDoNotForkEntries) {
   const Circuit c = small_circuit("svc-key");
   const auto cm = arch::ibm_qx4();
@@ -181,10 +222,6 @@ TEST(MappingServiceKey, ResultAffectingOptionsForkEntries) {
   const auto cm = arch::ibm_qx4();
   const MapOptions base = exact_options();
   const std::string base_key = MappingService::cache_key(c, cm, base);
-
-  MapOptions objective = base;
-  objective.exact.optimization = reason::OptimizationMode::BinarySearch;
-  EXPECT_NE(MappingService::cache_key(c, cm, objective), base_key);
 
   MapOptions budget = base;
   budget.exact.budget = std::chrono::milliseconds(12345);
