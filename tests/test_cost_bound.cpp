@@ -1,13 +1,14 @@
 /// The CDCL engine's objective bound (cdcl_engine.hpp): a generalized
 /// totalizer (GTE) over the weighted Eq. (5) cost literals, clamped at the
 /// first bound + 1, enforces "objective <= bound" for the binary search's
-/// committed model costs and for the external bound a subset shard starts
-/// from.
+/// committed model costs and for the external bounds a subset shard starts
+/// from or polls from its siblings.
 
 #include "reason/cdcl_engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <tuple>
 #include <vector>
 
 namespace qxmap {
@@ -18,21 +19,31 @@ using reason::Outcome;
 using reason::Status;
 
 constexpr auto kBudget = std::chrono::milliseconds(10000);
-class UnitCostBound : public ::testing::TestWithParam<int> {};
+
+/// How the bound reaches the engine: fixed before minimize() (a shard's
+/// starting bound) or polled from a live source (a sibling's published
+/// bound). Both must bound the objective identically.
+enum class BoundVia { UpperBound, Source };
+
+class UnitCostBound : public ::testing::TestWithParam<std::tuple<BoundVia, int>> {};
 
 TEST_P(UnitCostBound, BoundAtTheForcedCountIsTight) {
   // Six unit-cost variables, the first k fixed true and the rest free: the
   // optimum is k, reachable under bound k and refuted under bound k - 1.
-  const int k = GetParam();
+  const auto [via, k] = GetParam();
   constexpr int kInputs = 6;
-  const auto run = [k](long long bound, std::vector<bool>* model) {
+  const auto run = [via = via, k = k](long long bound, std::vector<bool>* model) {
     CdclEngine e;
     for (int i = 0; i < kInputs; ++i) {
       const int v = e.new_bool();
       e.add_cost(v, 1);
       if (i < k) e.add_clause({v + 1});
     }
-    e.set_upper_bound(bound);
+    if (via == BoundVia::UpperBound) {
+      e.set_upper_bound(bound);
+    } else {
+      e.set_bound_source([bound] { return bound; });
+    }
     const Outcome out = e.minimize(kBudget);
     if (model != nullptr && out.status == Status::Optimal) {
       for (int v = 0; v < kInputs; ++v) model->push_back(e.value(v));
@@ -53,7 +64,10 @@ TEST_P(UnitCostBound, BoundAtTheForcedCountIsTight) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(ForcedCounts, UnitCostBound, ::testing::Values(0, 1, 2, 3, 4, 5));
+INSTANTIATE_TEST_SUITE_P(BothBoundPaths, UnitCostBound,
+                         ::testing::Combine(::testing::Values(BoundVia::UpperBound,
+                                                              BoundVia::Source),
+                                            ::testing::Values(0, 1, 2, 3, 4, 5)));
 
 TEST(CostBound, WeightedSumsAreExactAgainstEveryBound) {
   // Eq. (5) weights (4 per reversal, multiples of 7 per SWAP). For every

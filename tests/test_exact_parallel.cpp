@@ -180,6 +180,27 @@ TEST(SharedBoundContract, BoundBelowOptimumTerminatesAsBoundedUnsat) {
   EXPECT_EQ(out.status, Status::Unsat);
 }
 
+TEST(SharedBoundContract, TighterOfFixedBoundAndSourceWins) {
+  // A shard starts from a fixed bound and then polls its siblings'; the
+  // outcome must be the one the tighter of the two alone would give.
+  struct Case {
+    long long fixed;
+    long long polled;
+    Status status;
+  };
+  for (const Case& k : {Case{7, 3, Status::Optimal}, Case{3, 7, Status::Optimal},
+                        Case{7, 2, Status::Unsat}, Case{2, 7, Status::Unsat}}) {
+    bound::SmallObjective p;
+    p.engine.set_upper_bound(k.fixed);
+    p.engine.set_bound_source([polled = k.polled] { return polled; });
+    const auto out = p.engine.minimize(std::chrono::milliseconds(5000));
+    EXPECT_EQ(out.status, k.status) << "fixed " << k.fixed << " polled " << k.polled;
+    if (k.status == Status::Optimal) {
+      EXPECT_EQ(out.cost, 3) << "fixed " << k.fixed << " polled " << k.polled;
+    }
+  }
+}
+
 TEST(SharedBoundContract, NegativeBoundIsRejected) {
   bound::SmallObjective p;
   EXPECT_THROW(p.engine.set_upper_bound(-1), std::invalid_argument);
@@ -217,7 +238,17 @@ TEST(CooperativeTightening, SourceBelowOptimumTerminatesAsBoundedUnsat) {
   p.engine.set_bound_source([] { return 2LL; });
   const auto out = p.engine.minimize(std::chrono::milliseconds(5000));
   EXPECT_EQ(out.status, Status::Unsat);
-  EXPECT_GE(p.engine.stats().bound_polls, 1);
+  EXPECT_GE(p.engine.stats().bound_tightenings, 1);
+}
+
+TEST(CooperativeTightening, SourceBelowFirstModelCostKeepsOptimum) {
+  // The first model costs 5 (propagation alone lands it); a sibling bound
+  // of 4 rules that model out but not the optimum 3 beneath it.
+  bound::SmallObjective p;
+  p.engine.set_bound_source([] { return 4LL; });
+  const auto out = p.engine.minimize(std::chrono::milliseconds(5000));
+  EXPECT_EQ(out.status, Status::Optimal);
+  EXPECT_EQ(out.cost, 3);
   EXPECT_GE(p.engine.stats().bound_tightenings, 1);
 }
 
@@ -245,6 +276,31 @@ TEST(CooperativeTightening, MonotoneSourceSimulatingSiblingProgress) {
   const auto out = p.engine.minimize(std::chrono::milliseconds(5000));
   EXPECT_EQ(out.status, Status::Unsat);
   EXPECT_GE(p.engine.stats().bound_tightenings, 2);  // kNoBound -> 7 -> 2
+}
+
+TEST(CooperativeTightening, PollsBetweenProbes) {
+  // The unit-cost triple has optimum 1, so the search must probe bound 0
+  // after its first model; it polls before every probe and once more
+  // before concluding, and every call of the source is counted.
+  reason::CdclEngine engine;
+  const int a = engine.new_bool();
+  const int b = engine.new_bool();
+  const int c = engine.new_bool();
+  engine.add_clause({a + 1, b + 1, c + 1});
+  engine.add_cost(a, 1);
+  engine.add_cost(b, 1);
+  engine.add_cost(c, 1);
+  long long calls = 0;
+  engine.set_bound_source([&calls] {
+    ++calls;
+    return reason::ReasoningEngine::kNoBound;
+  });
+  const auto out = engine.minimize(std::chrono::milliseconds(5000));
+  EXPECT_EQ(out.status, Status::Optimal);
+  EXPECT_EQ(out.cost, 1);
+  EXPECT_GE(calls, 2);
+  EXPECT_EQ(engine.stats().bound_polls, calls);
+  EXPECT_EQ(engine.stats().bound_tightenings, 0);
 }
 
 // --- Binary search: probe statistics and deadline contract ------------------
@@ -290,6 +346,16 @@ TEST(BinarySearchProbeContract, DeadlineWithModelWithinExternalBoundIsFeasible) 
   const auto out = p.engine.minimize(std::chrono::milliseconds(0));
   EXPECT_EQ(out.status, Status::Feasible);
   EXPECT_EQ(out.cost, 5);
+}
+
+TEST(BinarySearchProbeContract, ZeroBudgetWithoutBoundSourceIsFeasible) {
+  // Without a sibling bound the expired deadline keeps the first model:
+  // Feasible at its cost, with no poll made.
+  bound::SmallObjective p;
+  const auto out = p.engine.minimize(std::chrono::milliseconds(0));
+  EXPECT_EQ(out.status, Status::Feasible);
+  EXPECT_EQ(out.cost, 5);
+  EXPECT_EQ(p.engine.stats().bound_polls, 0);
 }
 
 // --- Prefix snapshot / rollback on the engine --------------------------------
