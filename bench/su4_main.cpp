@@ -1,15 +1,16 @@
 /// \file su4_main.cpp
 /// SU(4) stress gate for the large-architecture path: generator → heavy-hex
-/// coupling map → layer-weight heuristic, end to end.
+/// coupling map → layer-weight and SABRE heuristics, end to end.
 ///
 /// Usage: bench_su4 [--smoke] [--sweep] [--arch NAME] [--layers N]
 ///                  [--seed N] [--budget-ms N] [--json PATH]
 ///   --smoke       CI mode: a seeded SU(4) instance over the full
 ///                 architecture (default hex27, 27 qubits) must map via the
-///                 layer-weight heuristic within --budget-ms, with a
-///                 coupling-legal mapped circuit and a GF(2)-verified
-///                 routing skeleton — under BOTH cost objectives
-///                 (gate_count and error_weighted); exit 1 otherwise
+///                 layer-weight and SABRE heuristics within --budget-ms,
+///                 each with a coupling-legal mapped circuit and a
+///                 GF(2)-verified routing skeleton — under BOTH cost
+///                 objectives (gate_count and error_weighted); exit 1
+///                 otherwise
 ///   --sweep       print a layer-weight vs sabre comparison table over the
 ///                 heavy-hex built-ins (hex27/65/127), asserting legality
 ///                 and verification on every row
@@ -84,29 +85,40 @@ Args parse_args(int argc, char** argv) {
   return a;
 }
 
-/// Maps one SU(4) instance with the layer-weight heuristic and validates the
-/// result; returns false (after printing why) on any violation.
+/// Maps one SU(4) instance with the heuristic `method` ("layer-weight" or
+/// "sabre") and validates the result; returns false (after printing why) on
+/// any violation.
 bool check_instance(const Circuit& circuit, const arch::CouplingMap& cm,
-                    exact::CostObjective objective, double* out_ms,
+                    const std::string& method, exact::CostObjective objective, double* out_ms,
                     exact::MappingResult* out = nullptr) {
-  heuristic::LayerWeightOptions options;
-  options.costs.objective = objective;
+  exact::CostModel costs;
+  costs.objective = objective;
   const auto t0 = Clock::now();
-  const exact::MappingResult res = heuristic::map_layer_weight(circuit, cm, options);
+  exact::MappingResult res;
+  if (method == "sabre") {
+    heuristic::SabreOptions options;
+    options.costs = costs;
+    res = heuristic::map_sabre(circuit, cm, options);
+  } else {
+    heuristic::LayerWeightOptions options;
+    options.costs = costs;
+    res = heuristic::map_layer_weight(circuit, cm, options);
+  }
   const double ms = std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
   if (out_ms != nullptr) *out_ms = ms;
   bool ok = true;
   if (res.status != reason::Status::Feasible) {
-    std::cout << "FAIL: status not Feasible on " << cm.name() << "\n";
+    std::cout << "FAIL: " << method << " status not Feasible on " << cm.name() << "\n";
     ok = false;
   }
   if (!res.verified) {
-    std::cout << "FAIL: GF(2) skeleton verification failed on " << cm.name() << " ("
-              << res.verify_message << ")\n";
+    std::cout << "FAIL: " << method << " GF(2) skeleton verification failed on " << cm.name()
+              << " (" << res.verify_message << ")\n";
     ok = false;
   }
   if (!exact::satisfies_coupling(res.mapped, cm)) {
-    std::cout << "FAIL: mapped circuit violates the coupling map of " << cm.name() << "\n";
+    std::cout << "FAIL: " << method << " mapped circuit violates the coupling map of "
+              << cm.name() << "\n";
     ok = false;
   }
   if (res.objective != exact::to_string(objective)) {
@@ -129,6 +141,7 @@ int run_smoke(const Args& args) {
   bool ok = true;
   double total_ms = 0.0;
   struct JsonRow {
+    std::string method;
     std::string objective;
     int swaps = 0;
     int reversed = 0;
@@ -136,19 +149,21 @@ int run_smoke(const Args& args) {
     double wall_ms = 0.0;
   };
   std::vector<JsonRow> json_rows;
-  for (const auto objective :
-       {exact::CostObjective::GateCount, exact::CostObjective::ErrorWeighted}) {
-    double ms = 0.0;
-    exact::MappingResult res;
-    ok = check_instance(circuit, cm, objective, &ms, &res) && ok;
-    total_ms += ms;
-    std::cout << "  " << pad_right(exact::to_string(objective), 15) << " swaps "
-              << pad_left(std::to_string(res.swaps_inserted), 4) << ", reversed "
-              << pad_left(std::to_string(res.cnots_reversed), 4) << ", objective_cost "
-              << pad_left(std::to_string(res.objective_cost), 7) << ", "
-              << format_fixed(ms, 1) << " ms\n";
-    json_rows.push_back({exact::to_string(objective), res.swaps_inserted, res.cnots_reversed,
-                         res.objective_cost, ms});
+  for (const std::string method : {"layer-weight", "sabre"}) {
+    for (const auto objective :
+         {exact::CostObjective::GateCount, exact::CostObjective::ErrorWeighted}) {
+      double ms = 0.0;
+      exact::MappingResult res;
+      ok = check_instance(circuit, cm, method, objective, &ms, &res) && ok;
+      total_ms += ms;
+      std::cout << "  " << pad_right(method, 13) << pad_right(exact::to_string(objective), 15)
+                << " swaps " << pad_left(std::to_string(res.swaps_inserted), 4)
+                << ", reversed " << pad_left(std::to_string(res.cnots_reversed), 4)
+                << ", objective_cost " << pad_left(std::to_string(res.objective_cost), 7)
+                << ", " << format_fixed(ms, 1) << " ms\n";
+      json_rows.push_back({method, exact::to_string(objective), res.swaps_inserted,
+                           res.cnots_reversed, res.objective_cost, ms});
+    }
   }
   if (!args.json_path.empty()) {
     std::ofstream out(args.json_path);
@@ -157,7 +172,7 @@ int run_smoke(const Args& args) {
       ok = false;
     } else {
       out << "{\n"
-          << "  \"schema\": \"qxmap-su4-smoke-v1\",\n"
+          << "  \"schema\": \"qxmap-su4-smoke-v2\",\n"
           << "  \"arch\": \"" << cm.name() << "\",\n"
           << "  \"layers\": " << args.layers << ",\n"
           << "  \"seed\": " << args.seed << ",\n";
@@ -165,7 +180,8 @@ int run_smoke(const Args& args) {
       out << ",\n  \"rows\": [\n";
       for (std::size_t i = 0; i < json_rows.size(); ++i) {
         const auto& r = json_rows[i];
-        out << "    {\"objective\": \"" << r.objective << "\", \"swaps\": " << r.swaps
+        out << "    {\"method\": \"" << r.method << "\", \"objective\": \"" << r.objective
+            << "\", \"swaps\": " << r.swaps
             << ", \"reversed\": " << r.reversed << ", \"objective_cost\": " << r.objective_cost
             << ", \"wall_ms\": " << format_fixed(r.wall_ms, 1) << '}'
             << (i + 1 < json_rows.size() ? "," : "") << '\n';
@@ -179,7 +195,7 @@ int run_smoke(const Args& args) {
               << args.budget_ms << "\n";
     ok = false;
   }
-  std::cout << (ok ? "OK" : "FAILED") << ": generator + layer-weight on " << cm.name()
+  std::cout << (ok ? "OK" : "FAILED") << ": generator + layer-weight + sabre on " << cm.name()
             << " in " << format_fixed(total_ms, 1) << " ms (budget " << args.budget_ms
             << " ms)\n";
   return ok ? 0 : 1;
@@ -198,15 +214,13 @@ int run_sweep(const Args& args) {
                                                         "su4_" + cm.name());
       double lw_ms = 0.0;
       exact::MappingResult lw;
-      ok = check_instance(circuit, cm, exact::CostObjective::GateCount, &lw_ms, &lw) && ok;
-
-      const auto t0 = Clock::now();
-      const exact::MappingResult sb = heuristic::map_sabre(circuit, cm);
-      const double sb_ms = std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-      if (!sb.verified || !exact::satisfies_coupling(sb.mapped, cm)) {
-        std::cout << "FAIL: sabre result invalid on " << cm.name() << "\n";
-        ok = false;
-      }
+      ok = check_instance(circuit, cm, "layer-weight", exact::CostObjective::GateCount, &lw_ms,
+                          &lw) &&
+           ok;
+      double sb_ms = 0.0;
+      exact::MappingResult sb;
+      ok = check_instance(circuit, cm, "sabre", exact::CostObjective::GateCount, &sb_ms, &sb) &&
+           ok;
       std::cout << pad_right(name, 10) << pad_left(std::to_string(layers), 7)
                 << pad_left(std::to_string(circuit.counts().cnot), 7)
                 << pad_left(std::to_string(lw.swaps_inserted), 9)

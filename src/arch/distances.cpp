@@ -1,7 +1,6 @@
 #include "arch/distances.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace qxmap::arch {
 
@@ -26,47 +25,6 @@ DistanceMatrix::DistanceMatrix(const CouplingMap& cm) : m_(cm.num_physical()) {
       }
     }
   }
-
-  // CNOT costs. For non-adjacent pairs we route along a shortest path; the
-  // final hop's orientation decides whether 4 H gates are still needed. We
-  // compute the cheapest option over all neighbours u of the target-side
-  // endpoint: 7*(hops(c,u)-? ) — equivalently, take min over adjacent pairs
-  // (u,v) with the right distance sum; a simple dynamic program suffices at
-  // these sizes.
-  cnot_cost_.assign(static_cast<std::size_t>(m_) * static_cast<std::size_t>(m_), kUnreachable);
-  for (int c = 0; c < m_; ++c) {
-    for (int t = 0; t < m_; ++t) {
-      if (c == t) continue;
-      int best = kUnreachable;
-      // Choose the adjacent pair (u, v) where the CNOT will finally execute;
-      // moving c to u and t to v takes hops(c,u) + hops(t,v) swaps in the
-      // independent-path approximation used by all layer heuristics.
-      for (const auto& [a, b] : cm.undirected_edges()) {
-        for (const auto& [u, v] : {std::pair{a, b}, std::pair{b, a}}) {
-          if (hops_[idx(c, u)] >= kUnreachable || hops_[idx(t, v)] >= kUnreachable) continue;
-          const int swaps = hops_[idx(c, u)] + hops_[idx(t, v)];
-          const int direction_penalty = cm.allows(u, v) ? 0 : 4;
-          best = std::min(best, 7 * swaps + direction_penalty);
-        }
-      }
-      cnot_cost_[idx(c, t)] = best;
-    }
-  }
-}
-
-int DistanceMatrix::hops(int a, int b) const {
-  if (a < 0 || b < 0 || a >= m_ || b >= m_) throw std::out_of_range("DistanceMatrix::hops");
-  return hops_[static_cast<std::size_t>(a) * static_cast<std::size_t>(m_) +
-               static_cast<std::size_t>(b)];
-}
-
-int DistanceMatrix::cnot_cost(int control, int target) const {
-  if (control < 0 || target < 0 || control >= m_ || target >= m_) {
-    throw std::out_of_range("DistanceMatrix::cnot_cost");
-  }
-  if (control == target) throw std::invalid_argument("DistanceMatrix::cnot_cost: control == target");
-  return cnot_cost_[static_cast<std::size_t>(control) * static_cast<std::size_t>(m_) +
-                    static_cast<std::size_t>(target)];
 }
 
 }  // namespace qxmap::arch

@@ -1,43 +1,39 @@
 /// \file distances.hpp
-/// All-pairs distance/cost matrices over a coupling map.
+/// All-pairs hop distances over a coupling map.
 ///
 /// The heuristic mappers steer by these: `hops` is the undirected shortest
-/// path length; `cnot_cost(c, t)` is the paper's cost metric for executing
-/// one CNOT(c → t): 0 if natively allowed, 4 if only the reversed edge
-/// exists (4 H gates), and 7·(hops-1) + direction penalty otherwise (route
-/// to adjacency with SWAPs, then execute).
+/// path length between two physical qubits.
 
 #pragma once
 
+#include <cstddef>
+#include <stdexcept>
 #include <vector>
 
 #include "arch/coupling_map.hpp"
 
 namespace qxmap::arch {
 
-/// Precomputed distance tables for one coupling map.
+/// Precomputed hop distances for one coupling map.
 class DistanceMatrix {
  public:
   /// Runs Floyd–Warshall on the undirected graph. O(m^3).
   explicit DistanceMatrix(const CouplingMap& cm);
 
   /// Undirected hop count between physical qubits (0 if a == b). Returns a
-  /// large sentinel (>= 1000) for disconnected pairs.
-  [[nodiscard]] int hops(int a, int b) const;
-
-  /// Added-gate cost of executing CNOT(control → target) from the current
-  /// placement, assuming SWAPs move the qubits adjacent first:
-  ///   adjacent and allowed: 0;  adjacent, only reverse allowed: 4;
-  ///   otherwise 7·(hops-1) plus 0/4 depending on the best final edge
-  ///   orientation reachable. Disconnected pairs get a large sentinel.
-  [[nodiscard]] int cnot_cost(int control, int target) const;
+  /// large sentinel (>= 1000) for disconnected pairs. Inline: it sits in
+  /// every heuristic's candidate-scoring loop.
+  [[nodiscard]] int hops(int a, int b) const {
+    if (a < 0 || b < 0 || a >= m_ || b >= m_) throw std::out_of_range("DistanceMatrix::hops");
+    return hops_[static_cast<std::size_t>(a) * static_cast<std::size_t>(m_) +
+                 static_cast<std::size_t>(b)];
+  }
 
   [[nodiscard]] int size() const noexcept { return m_; }
 
  private:
   int m_;
-  std::vector<int> hops_;       // m*m
-  std::vector<int> cnot_cost_;  // m*m
+  std::vector<int> hops_;  // m*m
 };
 
 }  // namespace qxmap::arch

@@ -12,7 +12,7 @@
 /// Two kinds of entries are cached behind `shared_ptr` handles:
 ///  * SwapCostTable — the exhaustive swaps(π) table (O(m!) memory per
 ///    entry, m <= 8), used by the exact mapper and the reference search;
-///  * DistanceMatrix — the all-pairs cost matrix (O(m²) memory), used by
+///  * DistanceMatrix — the all-pairs hop matrix (O(m²) memory), used by
 ///    the heuristic mappers.
 ///
 /// Both stores are bounded by the same entry capacity with LRU eviction;

@@ -11,7 +11,11 @@
 /// present. The greedy phase accepts only strictly-improving swaps (which
 /// guarantees termination — the score is a finite strictly-decreasing
 /// measure); any CNOT still blocked afterwards is routed by a deterministic
-/// shortest-path walk at emission, so every layer always completes.
+/// shortest-path walk at emission, so every layer always completes. A
+/// candidate SWAP re-measures only the pairs it moves and is screened by its
+/// score change before the window is summed; the routes are bit-identical to
+/// summing the whole window for every candidate (layer_weight_mapper.cpp
+/// says why).
 ///
 /// The *iterative* part: the whole route is re-run under several weight
 /// profiles — profile 0 is the deterministic geometric decay w[i] = decayⁱ,
@@ -43,7 +47,8 @@ struct LayerWeightOptions {
 
 /// Maps `circuit` to `cm`; engine_name is "layer-weight", status Feasible.
 /// \throws std::invalid_argument on oversized circuits, disconnected
-/// coupling graphs, or non-positive iterations/lookahead.
+/// coupling graphs, non-positive iterations/lookahead, or a decay that is
+/// negative or not finite.
 [[nodiscard]] exact::MappingResult map_layer_weight(const Circuit& circuit,
                                                     const arch::CouplingMap& cm,
                                                     const LayerWeightOptions& options = {});

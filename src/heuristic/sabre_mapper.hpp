@@ -8,6 +8,16 @@
 /// improved by bidirectional passes (map the circuit, then map its reverse
 /// starting from the final layout, and repeat — the final layout of each
 /// pass seeds the next).
+///
+/// Candidate SWAPs are scored incrementally. Rescoring each candidate from
+/// scratch — a layout copy plus every front and extended pair — dominated
+/// the run time on heavy-hex architectures, where fronts hold dozens of
+/// gates. Instead the front and extended hop sums are taken once, while the
+/// front stays blocked, and a candidate re-measures only the pairs on the
+/// two logical qubits it moves. The sums are integers, so they are exact in
+/// a double and each score is bit-identical to a full rescoring; with the
+/// same edge order and one jitter draw per candidate, the routes are too
+/// (tests/test_routing_golden.cpp pins them).
 
 #pragma once
 
@@ -34,8 +44,9 @@ struct SabreOptions {
 };
 
 /// Maps `circuit` to `cm`; engine_name is "sabre", status Feasible.
-/// \throws std::invalid_argument on oversized circuits or disconnected
-/// coupling graphs.
+/// \throws std::invalid_argument on oversized circuits, disconnected
+/// coupling graphs, negative rounds or extended-set size, or an
+/// extended-set weight or decay that is negative or not finite.
 [[nodiscard]] exact::MappingResult map_sabre(const Circuit& circuit, const arch::CouplingMap& cm,
                                              const SabreOptions& options = {});
 

@@ -28,43 +28,16 @@ TEST(Distances, HopsSymmetric) {
   }
 }
 
-TEST(Distances, CnotCostAdjacent) {
-  const arch::DistanceMatrix d(arch::ibm_qx4());
-  // (1,0) in CM: forward free, reverse costs 4 H.
-  EXPECT_EQ(d.cnot_cost(1, 0), 0);
-  EXPECT_EQ(d.cnot_cost(0, 1), 4);
-}
-
-TEST(Distances, CnotCostDistantPair) {
-  const arch::DistanceMatrix d(arch::ibm_qx4());
-  // 0 and 3 are two hops apart. CNOT(3 -> 0): one SWAP brings the control
-  // next to 0 on the forward edge (2,0) — cost 7. CNOT(0 -> 3): every
-  // reachable adjacent placement points the wrong way, so 7 + 4.
-  EXPECT_EQ(d.cnot_cost(3, 0), 7);
-  EXPECT_EQ(d.cnot_cost(0, 3), 11);
-}
-
-TEST(Distances, CnotCostOnBidirectedMapNeverPaysH) {
-  const auto cm = arch::ibm_tokyo();
-  const arch::DistanceMatrix d(cm);
-  for (const auto& [a, b] : cm.undirected_edges()) {
-    EXPECT_EQ(d.cnot_cost(a, b), 0);
-    EXPECT_EQ(d.cnot_cost(b, a), 0);
-  }
-}
-
 TEST(Distances, DisconnectedPairsGetSentinel) {
   const arch::CouplingMap split(4, {{0, 1}, {2, 3}});
   const arch::DistanceMatrix d(split);
   EXPECT_GE(d.hops(0, 2), 1000);
-  EXPECT_GE(d.cnot_cost(0, 2), 1000);
 }
 
 TEST(Distances, Validation) {
   const arch::DistanceMatrix d(arch::ibm_qx4());
   EXPECT_THROW((void)d.hops(-1, 0), std::out_of_range);
-  EXPECT_THROW((void)d.cnot_cost(0, 9), std::out_of_range);
-  EXPECT_THROW((void)d.cnot_cost(1, 1), std::invalid_argument);
+  EXPECT_THROW((void)d.hops(0, 9), std::out_of_range);
 }
 
 TEST(Distances, TriangleInequalityOnHops) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "arch/architectures.hpp"
 #include "arch/swap_costs.hpp"
 #include "bench_circuits/generators.hpp"
@@ -225,6 +227,15 @@ TEST(LayerWeight, Validation) {
                std::invalid_argument);
   EXPECT_THROW(heuristic::map_layer_weight(fine, arch::CouplingMap(3, {{0, 1}}), {}),
                std::invalid_argument);
+  for (const double decay : {std::nan(""), -0.4, HUGE_VAL}) {
+    heuristic::LayerWeightOptions bad_decay;
+    bad_decay.decay = decay;
+    EXPECT_THROW(heuristic::map_layer_weight(fine, arch::ibm_qx4(), bad_decay),
+                 std::invalid_argument);
+  }
+  heuristic::LayerWeightOptions zero_decay;
+  zero_decay.decay = 0;
+  EXPECT_TRUE(heuristic::map_layer_weight(fine, arch::ibm_qx4(), zero_decay).verified);
 }
 
 TEST(Heuristics, ExactBeatsOrTiesHeuristicsEverywhere) {

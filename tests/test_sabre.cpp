@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "arch/architectures.hpp"
 #include "arch/swap_costs.hpp"
 #include "bench_circuits/generators.hpp"
@@ -126,6 +128,28 @@ TEST(Sabre, Validation) {
   Circuit fine(2);
   fine.cnot(0, 1);
   EXPECT_THROW(map_sabre(fine, arch::CouplingMap(3, {{0, 1}}), {}), std::invalid_argument);
+  // Options: a NaN weight would make every score NaN and swap one edge back
+  // and forth until the livelock fallback.
+  const auto rejects = [&](const auto& set) {
+    SabreOptions bad;
+    set(bad);
+    EXPECT_THROW((void)map_sabre(fine, arch::ibm_qx4(), bad), std::invalid_argument);
+  };
+  rejects([](SabreOptions& o) { o.bidirectional_rounds = -3; });
+  rejects([](SabreOptions& o) { o.extended_set_size = -1; });
+  rejects([](SabreOptions& o) { o.extended_set_weight = std::nan(""); });
+  rejects([](SabreOptions& o) { o.extended_set_weight = -0.5; });
+  rejects([](SabreOptions& o) { o.extended_set_weight = HUGE_VAL; });
+  rejects([](SabreOptions& o) { o.decay = std::nan(""); });
+  rejects([](SabreOptions& o) { o.decay = -0.001; });
+  rejects([](SabreOptions& o) { o.decay = -HUGE_VAL; });
+  // Zero disables each knob and is accepted.
+  SabreOptions zero;
+  zero.bidirectional_rounds = 0;
+  zero.extended_set_size = 0;
+  zero.extended_set_weight = 0;
+  zero.decay = 0;
+  EXPECT_TRUE(map_sabre(fine, arch::ibm_qx4(), zero).verified);
 }
 
 TEST(Sabre, ComparableToOtherHeuristicsOnTable1) {

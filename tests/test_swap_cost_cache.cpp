@@ -84,12 +84,11 @@ TEST(SwapCostCacheTest, DirectedVsBidirectedGetDistinctEntries) {
   const auto tb = cache.table(bidirected);
   EXPECT_NE(td.get(), tb.get());
   EXPECT_EQ(cache.table_entries(), 2u);
-  // Distances differ too: cnot_cost(1, 0) pays the 4-H reversal only on the
-  // directed variant.
+  // Distance matrices are keyed the same way: one entry per variant.
   const auto dd = cache.distances(directed);
   const auto db = cache.distances(bidirected);
-  EXPECT_EQ(dd->cnot_cost(1, 0), 4);
-  EXPECT_EQ(db->cnot_cost(1, 0), 0);
+  EXPECT_NE(dd.get(), db.get());
+  EXPECT_EQ(cache.distance_entries(), 2u);
 }
 
 TEST(SwapCostCacheTest, LruEvictionAtCapacity) {
