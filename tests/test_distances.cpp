@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "arch/architectures.hpp"
 
 namespace qxmap {
@@ -24,6 +27,27 @@ TEST(Distances, HopsSymmetric) {
   for (int a = 0; a < cm.num_physical(); ++a) {
     for (int b = 0; b < cm.num_physical(); ++b) {
       EXPECT_EQ(d.hops(a, b), d.hops(b, a));
+    }
+  }
+}
+
+TEST(Distances, HopsIgnoreEdgeDirection) {
+  // QX4 is directed ((1,0) exists, (0,1) does not); hop counts are taken on
+  // the undirected graph, so adding every reverse edge changes none of them.
+  const auto directed = arch::ibm_qx4();
+  std::vector<std::pair<int, int>> both;
+  for (const auto& [a, b] : directed.undirected_edges()) {
+    both.emplace_back(a, b);
+    both.emplace_back(b, a);
+  }
+  const arch::CouplingMap bidirected(directed.num_physical(), both);
+  const arch::DistanceMatrix dd(directed);
+  const arch::DistanceMatrix db(bidirected);
+  EXPECT_EQ(dd.hops(1, 0), 1);
+  EXPECT_EQ(dd.hops(0, 1), 1);
+  for (int a = 0; a < directed.num_physical(); ++a) {
+    for (int b = 0; b < directed.num_physical(); ++b) {
+      EXPECT_EQ(dd.hops(a, b), db.hops(a, b)) << a << "," << b;
     }
   }
 }

@@ -227,6 +227,11 @@ TEST(LayerWeight, Validation) {
                std::invalid_argument);
   EXPECT_THROW(heuristic::map_layer_weight(fine, arch::CouplingMap(3, {{0, 1}}), {}),
                std::invalid_argument);
+}
+
+TEST(LayerWeight, DecayMustBeFiniteAndNonNegative) {
+  Circuit fine(2);
+  fine.cnot(0, 1);
   for (const double decay : {std::nan(""), -0.4, HUGE_VAL}) {
     heuristic::LayerWeightOptions bad_decay;
     bad_decay.decay = decay;

@@ -128,7 +128,12 @@ TEST(Sabre, Validation) {
   Circuit fine(2);
   fine.cnot(0, 1);
   EXPECT_THROW(map_sabre(fine, arch::CouplingMap(3, {{0, 1}}), {}), std::invalid_argument);
-  // Options: a NaN weight would make every score NaN and swap one edge back
+}
+
+TEST(Sabre, RejectsNegativeOrNonFiniteOptions) {
+  Circuit fine(2);
+  fine.cnot(0, 1);
+  // A NaN weight would make every score NaN and swap one edge back
   // and forth until the livelock fallback.
   const auto rejects = [&](const auto& set) {
     SabreOptions bad;
@@ -143,13 +148,23 @@ TEST(Sabre, Validation) {
   rejects([](SabreOptions& o) { o.decay = std::nan(""); });
   rejects([](SabreOptions& o) { o.decay = -0.001; });
   rejects([](SabreOptions& o) { o.decay = -HUGE_VAL; });
-  // Zero disables each knob and is accepted.
+}
+
+TEST(Sabre, ZeroDisablesEachOption) {
+  // Zero is accepted for every knob, including on a circuit that needs SWAPs.
   SabreOptions zero;
   zero.bidirectional_rounds = 0;
   zero.extended_set_size = 0;
   zero.extended_set_weight = 0;
   zero.decay = 0;
+  Circuit fine(2);
+  fine.cnot(0, 1);
   EXPECT_TRUE(map_sabre(fine, arch::ibm_qx4(), zero).verified);
+  const auto cm = arch::ibm_qx4();
+  const Circuit c = bench::random_circuit(5, 8, 12, 3, "sabre-zero");
+  const auto res = map_sabre(c, cm, zero);
+  EXPECT_TRUE(exact::satisfies_coupling(res.mapped, cm));
+  EXPECT_TRUE(res.verified) << res.verify_message;
 }
 
 TEST(Sabre, ComparableToOtherHeuristicsOnTable1) {
