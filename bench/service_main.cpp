@@ -33,13 +33,19 @@
 #include "api/service.hpp"
 #include "arch/architectures.hpp"
 #include "bench_circuits/table1_suite.hpp"
-#include "exact/shard_executor.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace {
 
 using namespace qxmap;
 using Clock = std::chrono::steady_clock;
+
+/// Current value of a process-wide registry counter. This benchmark is the
+/// process's only client, so the totals are its own.
+std::uint64_t counter(const char* name) {
+  return obs::MetricsRegistry::instance().counter(name, "").value();
+}
 
 double median(std::vector<double> v) {
   if (v.empty()) return 0.0;
@@ -127,7 +133,7 @@ int main(int argc, char** argv) {
       cold_ms.push_back(cold_t);
       if (cold.from_cache) throw std::runtime_error("bench_service: cold request hit the cache");
 
-      const std::uint64_t shard_work_before = exact::ShardExecutor::instance().stats().tasks_executed;
+      const std::uint64_t shard_work_before = counter("qxmap_executor_tasks_executed_total");
       double row_warm = 0.0;
       for (int r = 0; r < args.repeat; ++r) {
         const auto t1 = Clock::now();
@@ -142,7 +148,7 @@ int main(int argc, char** argv) {
         }
       }
       const std::uint64_t shard_work =
-          exact::ShardExecutor::instance().stats().tasks_executed - shard_work_before;
+          counter("qxmap_executor_tasks_executed_total") - shard_work_before;
       std::cout << "  " << row.name << ": cold " << cold_t << " ms, warm avg "
                 << row_warm / args.repeat << " ms, warm shard tasks " << shard_work << "\n";
       if (args.smoke && shard_work != 0) {
@@ -155,11 +161,12 @@ int main(int argc, char** argv) {
     const double cold_med = median(cold_ms);
     const double warm_med = median(warm_ms);
     const double speedup = warm_med > 0.0 ? cold_med / warm_med : 0.0;
-    const auto stats = service.stats();
     std::cout << "cold median " << cold_med << " ms | warm median " << warm_med
               << " ms | speedup " << speedup << "x\n"
-              << "service: " << stats.requests << " requests, " << stats.hits << " hits, "
-              << stats.misses << " misses, " << stats.solves << " solves\n";
+              << "service: " << counter("qxmap_service_requests_total") << " requests, "
+              << counter("qxmap_service_cache_hits_total") << " hits, "
+              << counter("qxmap_service_cache_misses_total") << " misses, "
+              << counter("qxmap_service_solves_total") << " solves\n";
 
     if (args.smoke && speedup < args.min_speedup) {
       std::cerr << "bench_service: FAIL — warm/cold median speedup " << speedup << "x < "

@@ -3,7 +3,7 @@
 /// architecture through the process-wide `api::MappingService`, and prints
 /// a per-request line showing whether the request solved, was served from
 /// the result cache, or joined an in-flight duplicate — plus the service
-/// and executor counters at the end.
+/// and executor counters of the metrics registry at the end.
 ///
 /// Usage: example_qxmap_serve [--arch NAME] [--budget-ms N]
 ///                            [--trace out.json] [--metrics] [file.qasm ...]
@@ -11,15 +11,20 @@
 /// shows cache hits live. Duplicate inputs cost one solve total.
 ///
 /// Observability (docs/observability.md):
-///   --trace out.json  enable span tracing for the batch and write a
-///                     Chrome-trace JSON (load in chrome://tracing or
-///                     Perfetto) with request → shard → solve nesting
+///   --trace out.json  enable span tracing for the batch, print each
+///                     request's phase table (span time by name), and
+///                     write a Chrome-trace JSON (load in chrome://tracing
+///                     or Perfetto) with request → shard → solve nesting
 ///   --metrics         print the Prometheus text exposition of the
 ///                     process-wide metrics registry after the batch
 
 #include <chrono>
+#include <cstdint>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -46,6 +51,37 @@ const char* status_name(reason::Status s) {
     case reason::Status::Unknown: break;
   }
   return "unknown";
+}
+
+/// Prints where the latest request's time went: the summed durations, by
+/// span name, of the spans inside its `service.map` span. Shard spans on
+/// executor threads are included, so a phase can exceed the request's wall
+/// time under parallelism.
+void print_phase_table(const std::vector<obs::TraceEvent>& events) {
+  const obs::TraceEvent* request = nullptr;
+  for (const auto& e : events) {  // sorted by start: the last one is the newest
+    if (e.phase == 'X' && e.name == "service.map") request = &e;
+  }
+  if (request == nullptr) return;
+  const std::uint64_t end_ns = request->ts_ns + request->dur_ns;
+  std::map<std::string, std::uint64_t> ns_by_name;
+  for (const auto& e : events) {
+    if (e.phase != 'X' || &e == request) continue;
+    if (e.ts_ns >= request->ts_ns && e.ts_ns + e.dur_ns <= end_ns) ns_by_name[e.name] += e.dur_ns;
+  }
+  ns_by_name["total"] = request->dur_ns;
+  std::ostringstream table;
+  table << std::fixed << std::setprecision(1);
+  for (const auto& [name, ns] : ns_by_name) {
+    table << "  " << std::left << std::setw(24) << name << static_cast<double>(ns) / 1e6
+          << " ms\n";
+  }
+  std::cout << table.str();
+}
+
+/// Current value of a process-wide registry counter.
+std::uint64_t counter(const char* name) {
+  return obs::MetricsRegistry::instance().counter(name, "").value();
 }
 
 std::vector<Job> demo_batch() {
@@ -105,18 +141,17 @@ int main(int argc, char** argv) {
                 << status_name(result.status) << ", " << result.engine_name << ")"
                 << (result.from_cache ? " [cache hit]" : " [solved]") << " in "
                 << result.seconds << " s\n";
-      if (!result.trace_summary.empty()) {
-        std::cout << result.trace_summary;
-      }
+      if (!trace_path.empty()) print_phase_table(obs::TraceRecorder::instance().snapshot());
     }
 
-    const auto stats = service.stats();
-    const auto exec = exact::ShardExecutor::instance().stats();
-    std::cout << "\nservice: " << stats.requests << " requests = " << stats.misses
-              << " solved + " << stats.hits << " cache hits + " << stats.coalesced
-              << " coalesced; " << stats.evictions << " evictions\n"
-              << "executor: " << exec.tasks_executed << " shard tasks across "
-              << exec.requests << " requests on " << exact::ShardExecutor::instance().num_threads()
+    std::cout << "\nservice: " << counter("qxmap_service_requests_total") << " requests = "
+              << counter("qxmap_service_cache_misses_total") << " solved + "
+              << counter("qxmap_service_cache_hits_total") << " cache hits + "
+              << counter("qxmap_service_dedup_joins_total") << " coalesced; "
+              << counter("qxmap_service_cache_evictions_total") << " evictions\n"
+              << "executor: " << counter("qxmap_executor_tasks_executed_total")
+              << " shard tasks across " << counter("qxmap_executor_requests_total")
+              << " requests on " << exact::ShardExecutor::instance().num_threads()
               << " workers\n";
 
     if (!trace_path.empty()) {

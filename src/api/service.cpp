@@ -14,9 +14,9 @@ namespace qxmap::api {
 
 namespace {
 
-// Registry handles for the service counters (docs/observability.md). The
-// mutex-protected Stats struct remains the API-visible snapshot; these feed
-// the Prometheus/JSON exports.
+// Registry handles for the service counters (docs/observability.md), the
+// only record of what each request did. requests = hits + coalesced +
+// misses, and misses = solves + failures once every solve has finished.
 struct ServiceMetrics {
   obs::Counter& requests;
   obs::Counter& hits;
@@ -175,15 +175,16 @@ exact::MappingResult MappingService::map(const Circuit& circuit,
   span.attr("circuit", circuit.name());
   span.attr("arch", architecture.name());
   ServiceMetrics& metrics = ServiceMetrics::get();
-  metrics.requests.inc();
   const std::string key = cache_key(circuit, architecture, options);
   std::promise<exact::MappingResult> promise;
   std::shared_future<exact::MappingResult> join;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.requests;
+    // Counted under the lock, together with the classification below: no
+    // solve can finish between a request showing in this counter and that
+    // request joining the in-flight entry.
+    metrics.requests.inc();
     if (const auto it = cache_.find(key); it != cache_.end()) {
-      ++stats_.hits;
       metrics.hits.inc();
       obs::Span hit("service.cache_hit", "service");
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);
@@ -193,11 +194,9 @@ exact::MappingResult MappingService::map(const Circuit& circuit,
       return result;
     }
     if (const auto it = in_flight_.find(key); it != in_flight_.end()) {
-      ++stats_.coalesced;
       metrics.coalesced.inc();
       join = it->second;  // joiner: wait outside the lock
     } else {
-      ++stats_.misses;
       metrics.misses.inc();
       in_flight_.emplace(key, promise.get_future().share());
     }
@@ -225,7 +224,6 @@ exact::MappingResult MappingService::solve_as_leader(
       // request arriving after the failure leads a fresh solve instead of
       // joining (and re-observing) a dead one. Nothing enters the cache.
       const std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.failures;
       ServiceMetrics::get().failures.inc();
       in_flight_.erase(key);
     }
@@ -234,12 +232,10 @@ exact::MappingResult MappingService::solve_as_leader(
   }
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.solves;
     ServiceMetrics::get().solves.inc();
     in_flight_.erase(key);
     if (capacity_ > 0 && is_final(options, result) && cache_.find(key) == cache_.end()) {
       while (cache_.size() >= capacity_) {
-        ++stats_.evictions;
         ServiceMetrics::get().evictions.inc();
         cache_.erase(lru_.back());
         lru_.pop_back();
@@ -250,11 +246,6 @@ exact::MappingResult MappingService::solve_as_leader(
   }
   promise.set_value(result);
   return result;
-}
-
-MappingService::Stats MappingService::stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
 }
 
 std::size_t MappingService::size() const {

@@ -29,11 +29,12 @@
 ///    so the next request with that key retries instead of re-observing the
 ///    failure (no cache poisoning).
 ///
-/// Determinism: a cache hit is bit-identical to the solve that populated
-/// the entry in every result field except the documented observability
-/// fields (`seconds`, `bound_polls`, `bound_tightenings` are the stored
-/// values, not re-measured) and the `from_cache` marker itself. Joiners
-/// receive the leader's freshly solved result with `from_cache = false`.
+/// Determinism: a cache hit equals the solve that populated the entry in
+/// every result field except `seconds` (the stored value, not re-measured)
+/// and the `from_cache` marker itself. Joiners receive the leader's freshly
+/// solved result with `from_cache = false`. What a request did (hit, miss,
+/// join, eviction) is counted only by the `qxmap_service_*` counters on
+/// `obs::MetricsRegistry` (docs/observability.md).
 ///
 /// docs/service.md specifies the key construction, the dedup protocol, and
 /// the interaction with the process-wide `exact::ShardExecutor` (shards of
@@ -42,7 +43,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <future>
 #include <list>
@@ -62,24 +62,6 @@ class MappingService {
   using SolveFn =
       std::function<exact::MappingResult(const Circuit&, const arch::CouplingMap&,
                                          const MapOptions&)>;
-
-  /// Lifetime counters (snapshot; all monotone).
-  ///
-  /// \deprecated The same tallies are published to the process-wide
-  /// `obs::MetricsRegistry` as `qxmap_service_*_total` counters
-  /// (docs/observability.md), which is the preferred surface for
-  /// monitoring: one registry, one export format, no per-subsystem
-  /// snapshot structs. This struct stays for programmatic assertions
-  /// (tests, bench gates) but grows no new fields.
-  struct Stats {
-    std::uint64_t requests = 0;   ///< map() calls
-    std::uint64_t hits = 0;       ///< served from the result cache
-    std::uint64_t coalesced = 0;  ///< joined another caller's in-flight solve
-    std::uint64_t misses = 0;     ///< led a fresh solve (requests = hits + coalesced + misses)
-    std::uint64_t solves = 0;     ///< leader solves that completed successfully
-    std::uint64_t failures = 0;   ///< leader solves that threw (nothing cached)
-    std::uint64_t evictions = 0;  ///< entries dropped by the LRU policy
-  };
 
   static constexpr std::size_t kDefaultCapacity = 64;
 
@@ -109,10 +91,9 @@ class MappingService {
                                              const arch::CouplingMap& architecture,
                                              const MapOptions& options);
 
-  [[nodiscard]] Stats stats() const;
   [[nodiscard]] std::size_t size() const;         ///< cached entries
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  void clear();                                   ///< drop cached results (not stats)
+  void clear();                                   ///< drop cached results
 
  private:
   struct Entry {
@@ -131,7 +112,6 @@ class MappingService {
   std::list<std::string> lru_;  // front = most recently used
   std::unordered_map<std::string, Entry> cache_;
   std::unordered_map<std::string, std::shared_future<exact::MappingResult>> in_flight_;
-  Stats stats_;
 };
 
 }  // namespace qxmap::api

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <utility>
@@ -39,8 +40,8 @@ struct JsonValue {
   Kind kind = Kind::Null;
   bool boolean = false;
   double number = 0.0;
-  bool integral = false;      ///< number had no '.', 'e' and fits long long
-  long long integer = 0;      ///< valid when integral
+  bool integral = false;      ///< number had no '.' or 'e'
+  long long integer = 0;      ///< valid when integral; saturates at the long long range
   std::string text;           ///< for Kind::String
   std::vector<JsonValue> items;
   std::vector<Member> members;
@@ -354,6 +355,10 @@ class SchemaReader {
   int read_int(const JsonValue& v, const std::string& path) const {
     require(v, JsonValue::Kind::Number, path);
     if (!v.integral) fail(v, path + ": expected an integer, got " + std::to_string(v.number));
+    if (v.integer < std::numeric_limits<int>::min() ||
+        v.integer > std::numeric_limits<int>::max()) {
+      fail(v, path + ": integer out of range for int");
+    }
     return static_cast<int>(v.integer);
   }
 

@@ -5,6 +5,18 @@
 
 namespace qxmap::arch {
 
+// Registry counters are process-lifetime instruments: every SwapCostCache
+// (the singleton and any test-local instance) feeds the same tallies, and
+// clear() leaves them alone.
+template <typename Value>
+SwapCostCache::LruStore<Value>::LruStore(const std::string& kind, const std::string& what)
+    : hits(obs::MetricsRegistry::instance().counter(
+          "qxmap_swap_cost_cache_" + kind + "_hits_total", what + " cache hits")),
+      misses(obs::MetricsRegistry::instance().counter(
+          "qxmap_swap_cost_cache_" + kind + "_misses_total", what + " cache misses (entry built)")),
+      evictions(obs::MetricsRegistry::instance().counter(
+          "qxmap_swap_cost_cache_" + kind + "_evictions_total", what + " LRU evictions")) {}
+
 template <typename Value>
 std::shared_ptr<const Value> SwapCostCache::LruStore<Value>::find_and_touch(
     const std::string& key) {
@@ -31,8 +43,7 @@ void SwapCostCache::LruStore<Value>::evict_to(std::size_t capacity) {
   while (entries.size() > capacity) {
     entries.erase(lru.back());
     lru.pop_back();
-    ++stats.evictions;
-    if (m_evictions != nullptr) m_evictions->inc();
+    evictions.inc();
   }
 }
 
@@ -43,12 +54,10 @@ std::shared_ptr<const Value> SwapCostCache::get(LruStore<Value>& store, const Co
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (auto hit = store.find_and_touch(key)) {
-      ++store.stats.hits;
-      if (store.m_hits != nullptr) store.m_hits->inc();
+      store.hits.inc();
       return hit;
     }
-    ++store.stats.misses;
-    if (store.m_misses != nullptr) store.m_misses->inc();
+    store.misses.inc();
   }
   // Build outside the lock: an O(m!) BFS must not serialize unrelated keys.
   auto built = std::make_shared<const Value>(build(cm));
@@ -57,23 +66,9 @@ std::shared_ptr<const Value> SwapCostCache::get(LruStore<Value>& store, const Co
 }
 
 SwapCostCache::SwapCostCache(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(1, capacity)) {
-  // Registry counters are process-lifetime instruments: every SwapCostCache
-  // (the singleton and any test-local instance) feeds the same tallies.
-  auto& reg = obs::MetricsRegistry::instance();
-  tables_.m_hits = &reg.counter("qxmap_swap_cost_cache_table_hits_total",
-                                "swaps(pi) table cache hits");
-  tables_.m_misses = &reg.counter("qxmap_swap_cost_cache_table_misses_total",
-                                  "swaps(pi) table cache misses (table built)");
-  tables_.m_evictions = &reg.counter("qxmap_swap_cost_cache_table_evictions_total",
-                                     "swaps(pi) table LRU evictions");
-  distances_.m_hits = &reg.counter("qxmap_swap_cost_cache_distance_hits_total",
-                                   "Distance-matrix cache hits");
-  distances_.m_misses = &reg.counter("qxmap_swap_cost_cache_distance_misses_total",
-                                     "Distance-matrix cache misses (matrix built)");
-  distances_.m_evictions = &reg.counter("qxmap_swap_cost_cache_distance_evictions_total",
-                                        "Distance-matrix LRU evictions");
-}
+    : capacity_(std::max<std::size_t>(1, capacity)),
+      tables_("table", "swaps(pi) table"),
+      distances_("distance", "Distance-matrix") {}
 
 SwapCostCache& SwapCostCache::instance() {
   static SwapCostCache cache;
@@ -90,14 +85,10 @@ std::shared_ptr<const DistanceMatrix> SwapCostCache::distances(const CouplingMap
 
 void SwapCostCache::clear() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  // Drop entries and snapshot stats but keep the registry wiring: the
-  // qxmap_* counters are process-lifetime tallies and survive a clear().
   tables_.lru.clear();
   tables_.entries.clear();
-  tables_.stats = {};
   distances_.lru.clear();
   distances_.entries.clear();
-  distances_.stats = {};
 }
 
 void SwapCostCache::set_capacity(std::size_t capacity) {
@@ -120,16 +111,6 @@ std::size_t SwapCostCache::table_entries() const {
 std::size_t SwapCostCache::distance_entries() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return distances_.entries.size();
-}
-
-SwapCostCache::Stats SwapCostCache::table_stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return tables_.stats;
-}
-
-SwapCostCache::Stats SwapCostCache::distance_stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return distances_.stats;
 }
 
 }  // namespace qxmap::arch

@@ -20,12 +20,14 @@
 /// operations are thread-safe; a table is built at most once per key except
 /// for a bounded duplicate when several threads miss simultaneously (the
 /// build runs outside the lock; the losing builders adopt the winner's
-/// entry).
+/// entry). Hits, misses and evictions are counted only by the
+/// `qxmap_swap_cost_cache_{table,distance}_*` counters on
+/// `obs::MetricsRegistry` (docs/observability.md), which every instance
+/// feeds.
 
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -44,17 +46,6 @@ class SwapCostCache {
  public:
   static constexpr std::size_t kDefaultCapacity = 64;
 
-  /// Hit/miss/eviction counters of one store (snapshot).
-  ///
-  /// \deprecated Also published as `qxmap_swap_cost_cache_{table,distance}_*`
-  /// counters on `obs::MetricsRegistry` (docs/observability.md) — prefer
-  /// those for monitoring; this snapshot stays for test assertions.
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-  };
-
   /// \param capacity maximum entries per store (clamped to >= 1).
   explicit SwapCostCache(std::size_t capacity = kDefaultCapacity);
 
@@ -69,7 +60,7 @@ class SwapCostCache {
   /// The all-pairs distance matrix for `cm`, built on first use.
   [[nodiscard]] std::shared_ptr<const DistanceMatrix> distances(const CouplingMap& cm);
 
-  /// Drops every entry (outstanding handles stay valid) and resets stats.
+  /// Drops every entry (outstanding handles stay valid).
   void clear();
 
   /// Changes the per-store capacity (clamped to >= 1), evicting LRU entries
@@ -79,8 +70,6 @@ class SwapCostCache {
   [[nodiscard]] std::size_t capacity() const;
   [[nodiscard]] std::size_t table_entries() const;
   [[nodiscard]] std::size_t distance_entries() const;
-  [[nodiscard]] Stats table_stats() const;
-  [[nodiscard]] Stats distance_stats() const;
 
  private:
   template <typename Value>
@@ -89,14 +78,14 @@ class SwapCostCache {
       std::shared_ptr<const Value> value;
       std::list<std::string>::iterator lru_it;
     };
+    /// Registers `qxmap_swap_cost_cache_<kind>_{hits,misses,evictions}_total`.
+    LruStore(const std::string& kind, const std::string& what);
+
+    obs::Counter& hits;
+    obs::Counter& misses;
+    obs::Counter& evictions;
     std::list<std::string> lru;  // front = most recently used
     std::unordered_map<std::string, Entry> entries;
-    Stats stats;
-    // Registry twins of `stats`, wired up in the SwapCostCache constructor
-    // (null only if registration were skipped; never in practice).
-    obs::Counter* m_hits = nullptr;
-    obs::Counter* m_misses = nullptr;
-    obs::Counter* m_evictions = nullptr;
 
     // All three run under the owning cache's mutex.
     std::shared_ptr<const Value> find_and_touch(const std::string& key);

@@ -116,48 +116,6 @@ std::size_t resolve_num_threads(int requested, std::size_t num_instances) {
   return std::min(threads, num_instances);
 }
 
-/// Accumulates per-phase wall time for MappingResult::trace_summary. Only
-/// populated while tracing is enabled (checked once, at map_exact entry);
-/// shard-side phases sum across threads, so encode/solve can exceed the
-/// request's wall time under parallelism.
-struct PhaseTimes {
-  bool active = false;
-  std::atomic<std::uint64_t> encode_ns{0};
-  std::atomic<std::uint64_t> solve_ns{0};
-  std::uint64_t subsets_ns = 0;
-  std::uint64_t warm_start_ns = 0;
-  std::uint64_t prefix_ns = 0;
-  std::uint64_t canonical_ns = 0;
-  std::uint64_t reconstruct_ns = 0;
-  std::uint64_t verify_ns = 0;
-
-  [[nodiscard]] std::string table(std::uint64_t total_ns) const {
-    const auto line = [](std::string name, std::uint64_t ns) {
-      name.resize(18, ' ');
-      const std::uint64_t tenth_ms = ns / 100000;
-      return name + std::to_string(tenth_ms / 10) + "." + std::to_string(tenth_ms % 10) +
-             " ms\n";
-    };
-    std::string out;
-    out += line("subsets", subsets_ns);
-    out += line("warm_start", warm_start_ns);
-    out += line("prefix", prefix_ns);
-    out += line("encode*", encode_ns.load(std::memory_order_relaxed));
-    out += line("solve*", solve_ns.load(std::memory_order_relaxed));
-    out += line("canonical_resolve", canonical_ns);
-    out += line("reconstruct", reconstruct_ns);
-    out += line("verify", verify_ns);
-    out += line("total", total_ns);
-    out += "(* summed across shard threads)\n";
-    return out;
-  }
-};
-
-std::uint64_t elapsed_ns(Clock::time_point since) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - since).count());
-}
-
 /// Hardness proxy per instance for the hardest-first pop order: the
 /// undirected edge count of the induced coupling subgraph. Sparse subsets
 /// need more SWAPs, so their search runs longest; starting them
@@ -188,12 +146,10 @@ void count_instances(std::size_t popped) {
 
 /// The tail every solved request shares: the full statevector check on
 /// small architectures (the router already checked the GF(2) skeleton),
-/// then the wall time and the trace summary.
+/// then the wall time.
 MappingResult close_result(MappingResult res, const Circuit& circuit, const arch::CouplingMap& cm,
-                           const ExactOptions& options, Clock::time_point start,
-                           PhaseTimes& phases) {
+                           const ExactOptions& options, Clock::time_point start) {
   if (options.verify) {
-    const auto t0 = Clock::now();
     obs::Span span("exact.verify", "exact");
     std::string deep_msg = "statevector check skipped (architecture too large)";
     if (cm.num_physical() <= options.deep_verify_max_qubits) {
@@ -204,11 +160,9 @@ MappingResult close_result(MappingResult res, const Circuit& circuit, const arch
     }
     res.verify_message += "; " + deep_msg;
     span.attr("verified", res.verified);
-    if (phases.active) phases.verify_ns = elapsed_ns(t0);
   }
 
   res.seconds = std::chrono::duration<double>(Clock::now() - start).count();
-  if (phases.active) res.trace_summary = phases.table(elapsed_ns(start));
   return res;
 }
 
@@ -223,7 +177,7 @@ MappingResult map_with_dp(const Circuit& circuit, const arch::CouplingMap& cm,
                           const ExactOptions& options, const CostModel& costs,
                           const std::vector<Gate>& cnots, const std::vector<std::size_t>& points,
                           const std::vector<std::vector<int>>& instances, MappingResult res,
-                          Clock::time_point start, PhaseTimes& phases) {
+                          Clock::time_point start) {
   constexpr long long kNoIndex = std::numeric_limits<long long>::max();
   const auto deadline = start + options.budget;
   std::vector<LayoutRoute> routes(instances.size());
@@ -234,7 +188,6 @@ MappingResult map_with_dp(const Circuit& circuit, const arch::CouplingMap& cm,
   const auto solve_instance = [&](std::size_t i) {
     popped.fetch_add(1, std::memory_order_relaxed);
     if (static_cast<long long>(i) > zero_index.load(std::memory_order_acquire)) return;
-    const auto t0 = Clock::now();
     {
       obs::Span span("exact.solve", "exact");
       span.attr("engine", "dp");
@@ -243,7 +196,6 @@ MappingResult map_with_dp(const Circuit& circuit, const arch::CouplingMap& cm,
                                  costs, deadline);
       span.attr("status", reason::to_string(routes[i].status));
     }
-    if (phases.active) phases.solve_ns.fetch_add(elapsed_ns(t0), std::memory_order_relaxed);
     if (routes[i].status == reason::Status::Optimal && routes[i].cost == 0) {
       long long zi = zero_index.load(std::memory_order_acquire);
       const auto me = static_cast<long long>(i);
@@ -277,11 +229,9 @@ MappingResult map_with_dp(const Circuit& circuit, const arch::CouplingMap& cm,
   if (!best) {
     res.status = any_unknown ? reason::Status::Unknown : reason::Status::Unsat;
     res.seconds = std::chrono::duration<double>(Clock::now() - start).count();
-    if (phases.active) res.trace_summary = phases.table(elapsed_ns(start));
     return res;
   }
 
-  const auto reconstruct_t0 = Clock::now();
   const LayoutRoute& route = routes[*best];
   const std::vector<int>& subset = instances[*best];
   Router router = [&] {
@@ -301,14 +251,13 @@ MappingResult map_with_dp(const Circuit& circuit, const arch::CouplingMap& cm,
     }
     return r;
   }();
-  if (phases.active) phases.reconstruct_ns = elapsed_ns(reconstruct_t0);
   // An instance that ran out of time may have hidden a cheaper route.
   res.status = any_unknown ? reason::Status::Feasible : reason::Status::Optimal;
   res = std::move(router).finish(std::move(res), costs, options.verify, start);
   if (res.objective_cost != route.cost) {
     throw std::logic_error("map_exact: emitted gate overhead disagrees with DP cost");
   }
-  return close_result(std::move(res), circuit, cm, options, start, phases);
+  return close_result(std::move(res), circuit, cm, options, start);
 }
 
 }  // namespace
@@ -329,10 +278,6 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   static obs::Counter& maps_total = obs::MetricsRegistry::instance().counter(
       "qxmap_exact_maps_total", "map_exact calls reaching the solver pipeline");
   maps_total.inc();
-  // Phase timing for MappingResult::trace_summary; decided once so a
-  // mid-request set_enabled flip cannot produce a half-filled table.
-  PhaseTimes phases;
-  phases.active = obs::TraceRecorder::enabled();
 
   MappingResult res;
   // Report the engine that actually runs, not the requested kind: without
@@ -358,7 +303,6 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   const auto points = permutation_points(cnots, options.strategy, cm);
 
   // Instance list (Sec. 4.1).
-  const auto subsets_t0 = Clock::now();
   std::vector<std::vector<int>> instances;
   if (options.use_subsets && n < m) {
     obs::Span span("exact.subsets", "exact");
@@ -376,13 +320,12 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
     for (int i = 0; i < m; ++i) all[static_cast<std::size_t>(i)] = i;
     instances.push_back(std::move(all));
   }
-  if (phases.active) phases.subsets_ns = elapsed_ns(subsets_t0);
   map_span.attr("instances", instances.size());
   res.permutation_points = static_cast<int>(points.size()) + 1;
 
   if (options.engine == reason::EngineKind::Dp) {
     return map_with_dp(circuit, cm, options, costs, cnots, points, instances, std::move(res),
-                       start, phases);
+                       start);
   }
 
   // Budget: one shared deadline for the whole instance sweep. Each shard
@@ -435,14 +378,12 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   std::optional<Router> warm;
   long long warm_cost = kNoBound;
   if (instances.size() == 1 && options.strategy == PermutationStrategy::All) {
-    const auto t0 = Clock::now();
     obs::Span span("exact.warm_start", "exact");
     warm = greedy_route(circuit, cm);
     // The bound lives in resolved objective units, not emitted-gate units —
     // they differ under ErrorWeighted and under explicit weight overrides.
     warm_cost = costs.result_cost(warm->swaps(), warm->reversed());
     span.attr("cost", warm_cost);
-    if (phases.active) phases.warm_start_ns = elapsed_ns(t0);
   }
 
   // Shared encoding prefix (Sec. 4.1): every subset instance of an n-qubit
@@ -454,10 +395,8 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   // skipping the per-instance constraint derivation).
   std::optional<Encoding::Prefix> prefix;
   if (instances.size() > 1) {
-    const auto t0 = Clock::now();
     obs::Span span("exact.prefix", "exact");
     prefix.emplace(Encoding::build_prefix(cnots, n, n, points));
-    if (phases.active) phases.prefix_ns = elapsed_ns(t0);
   }
 
   const std::size_t num_threads = resolve_num_threads(options.num_threads, instances.size());
@@ -465,8 +404,6 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   std::atomic<std::size_t> started{0};
   std::atomic<long long> shared_bound{warm_cost};
   std::atomic<long long> zero_index{kNoBound};  // lowest index proving cost 0
-  std::atomic<long long> total_polls{0};
-  std::atomic<long long> total_tightenings{0};
   std::atomic<bool> failed{false};
   std::vector<InstanceOutcome> outcomes(instances.size());
   std::mutex error_mutex;
@@ -476,15 +413,9 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   // via the prefix snapshot — but owned by *this* stack frame, not the
   // executor thread: the engines (and the bound-source closures they hold
   // over `shared_bound`) are destroyed with the request, before the atomics
-  // they capture. Engine stats are cumulative per engine, so per-instance
-  // contributions are deltas against the last observed counters.
-  struct EngineSlot {
-    std::unique_ptr<reason::ReasoningEngine> engine;
-    long long seen_polls = 0;
-    long long seen_tightenings = 0;
-  };
+  // they capture.
   std::mutex slots_mutex;
-  std::unordered_map<std::thread::id, EngineSlot> slots;
+  std::unordered_map<std::thread::id, std::unique_ptr<reason::ReasoningEngine>> slots;
 
   const auto solve_instance = [&](std::size_t i) {
     // Every pop counts toward `started` (skips included) so budget shares
@@ -495,34 +426,25 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
     obs::Span shard_span("exact.shard", "exact");
     shard_span.attr("instance", i);
     try {
-      EngineSlot* slot = nullptr;
-      {
+      std::unique_ptr<reason::ReasoningEngine>& slot = [&]() -> auto& {
         const std::lock_guard<std::mutex> guard(slots_mutex);
-        // Pointers into an unordered_map stay valid across rehash.
-        slot = &slots[std::this_thread::get_id()];
-      }
+        // References into an unordered_map stay valid across rehash.
+        return slots[std::this_thread::get_id()];
+      }();
       InstanceOutcome& out = outcomes[i];
       const arch::CouplingMap induced = cm.induced(instances[i]);
       out.table = arch::SwapCostCache::instance().table(induced);
-      const bool holds_prefix = slot->engine && prefix && slot->engine->reset_to_prefix();
-      if (!holds_prefix) {
-        slot->engine = reason::make_engine(options.engine);
-        slot->seen_polls = 0;
-        slot->seen_tightenings = 0;
-      }
-      reason::ReasoningEngine& engine = *slot->engine;
+      const bool holds_prefix = slot && prefix && slot->reset_to_prefix();
+      if (!holds_prefix) slot = reason::make_engine(options.engine);
+      reason::ReasoningEngine& engine = *slot;
       std::optional<Encoding> enc;
       {
-        const auto t0 = Clock::now();
         obs::Span span("exact.encode", "exact");
         span.attr("prefix_reused", holds_prefix);
         if (prefix) {
           enc.emplace(engine, *prefix, induced, *out.table, costs, holds_prefix);
         } else {
           enc.emplace(engine, cnots, n, induced, *out.table, points, costs);
-        }
-        if (phases.active) {
-          phases.encode_ns.fetch_add(elapsed_ns(t0), std::memory_order_relaxed);
         }
       }
       const long long bound = shared_bound.load(std::memory_order_acquire);
@@ -546,7 +468,6 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
           overall_deadline - Clock::now());
       const auto share = std::chrono::milliseconds(
           std::max<long long>(1, left.count() / static_cast<long long>(rounds)));
-      const auto solve_t0 = Clock::now();
       reason::Outcome outcome;
       {
         obs::Span span("exact.solve", "exact");
@@ -554,15 +475,6 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
         outcome = engine.minimize(share);
         span.attr("status", reason::to_string(outcome.status));
       }
-      if (phases.active) {
-        phases.solve_ns.fetch_add(elapsed_ns(solve_t0), std::memory_order_relaxed);
-      }
-      total_polls.fetch_add(engine.stats().bound_polls - slot->seen_polls,
-                            std::memory_order_relaxed);
-      total_tightenings.fetch_add(engine.stats().bound_tightenings - slot->seen_tightenings,
-                                  std::memory_order_relaxed);
-      slot->seen_polls = engine.stats().bound_polls;
-      slot->seen_tightenings = engine.stats().bound_tightenings;
       out.status = outcome.status;
       if (outcome.status != reason::Status::Optimal &&
           outcome.status != reason::Status::Feasible) {
@@ -594,8 +506,6 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   ShardExecutor& executor = ShardExecutor::instance();
   executor.run_to_completion(executor.submit(solve_instance, priorities, num_threads));
   if (worker_error) std::rethrow_exception(worker_error);
-  res.bound_polls = total_polls.load(std::memory_order_relaxed);
-  res.bound_tightenings = total_tightenings.load(std::memory_order_relaxed);
   count_instances(started.load(std::memory_order_relaxed));
 
   // --- Deterministic reduction -------------------------------------------
@@ -637,12 +547,10 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
       if (options.verify) {
         res.verify_message += "; warm-start fallback (engine found no model in budget)";
       }
-      if (phases.active) res.trace_summary = phases.table(elapsed_ns(start));
       return res;
     }
     res.status = any_unknown ? reason::Status::Unknown : reason::Status::Unsat;
     res.seconds = std::chrono::duration<double>(Clock::now() - start).count();
-    if (phases.active) res.trace_summary = phases.table(elapsed_ns(start));
     return res;
   }
 
@@ -655,7 +563,6 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   // bit-identical at every thread count. The bounded re-solve is cheap: a
   // model of cost C* is known to exist and nothing below it does.
   if (instances.size() > 1) {
-    const auto t0 = Clock::now();
     obs::Span span("exact.canonical_resolve", "exact");
     const long long canonical = best->solution.cost_f;
     span.attr("cost", canonical);
@@ -664,7 +571,6 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
     const Encoding enc(*engine, cnots, n, induced, *best->table, points, costs);
     engine->set_upper_bound(canonical);
     const reason::Outcome outcome = engine->minimize(nominal_share);
-    if (phases.active) phases.canonical_ns = elapsed_ns(t0);
     if (outcome.status == reason::Status::Optimal ||
         outcome.status == reason::Status::Feasible) {
       Encoding::Solution sol = enc.decode();
@@ -675,12 +581,10 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
     // anyway).
   }
 
-  const auto reconstruct_t0 = Clock::now();
   Router route = [&] {
     obs::Span span("exact.reconstruct", "exact");
     return reconstruct(circuit, cm, *best, points);
   }();
-  if (phases.active) phases.reconstruct_ns = elapsed_ns(reconstruct_t0);
   res.status = (any_feasible_not_optimal || any_unknown) ? reason::Status::Feasible
                                                          : reason::Status::Optimal;
   res = std::move(route).finish(std::move(res), costs, options.verify, start);
@@ -691,7 +595,7 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   if (res.objective_cost != best->solution.cost_f) {
     throw std::logic_error("map_exact: emitted gate overhead disagrees with model cost");
   }
-  return close_result(std::move(res), circuit, cm, options, start, phases);
+  return close_result(std::move(res), circuit, cm, options, start);
 }
 
 }  // namespace qxmap::exact

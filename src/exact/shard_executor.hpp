@@ -58,23 +58,6 @@ class ShardExecutor {
   /// One unit of work; receives the task index passed at submit time.
   using TaskFn = std::function<void(std::size_t)>;
 
-  /// Lifetime counters (snapshot). `tasks_executed` is the service smoke
-  /// test's "no shard work spawned on a warm hit" witness.
-  ///
-  /// \deprecated New monitoring should read the `qxmap_executor_*` metrics
-  /// on `obs::MetricsRegistry` (docs/observability.md) — the same tallies
-  /// plus queue-wait/run-time histograms that a snapshot struct cannot
-  /// carry. This struct stays for programmatic assertions but grows no new
-  /// consumers.
-  struct Stats {
-    std::uint64_t requests = 0;
-    std::uint64_t tasks_submitted = 0;
-    std::uint64_t tasks_executed = 0;
-    std::uint64_t tasks_failed = 0;  ///< executed tasks whose fn threw
-    std::uint64_t threads_spawned = 0;
-    std::uint64_t queue_depth_high_water = 0;  ///< max queued (not in-flight) tasks ever
-  };
-
   /// Handle to a submitted batch of tasks. Opaque; all state is guarded by
   /// the owning executor.
   class Request {
@@ -128,7 +111,6 @@ class ShardExecutor {
   void set_num_threads(std::size_t n);
 
   [[nodiscard]] std::size_t num_threads() const;
-  [[nodiscard]] Stats stats() const;
 
  private:
   struct QueuedTask {
@@ -167,7 +149,6 @@ class ShardExecutor {
   std::size_t busy_ = 0;  // threads inside run_to_completion (destructor waits)
   std::size_t base_threads_ = 0;
   std::uint64_t next_seq_ = 0;
-  Stats stats_;
 };
 
 }  // namespace qxmap::exact

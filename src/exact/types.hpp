@@ -140,21 +140,16 @@ struct MappingResult {
   int swaps_inserted = 0;
   int cnots_reversed = 0;
   reason::Status status = reason::Status::Unknown;
-  double seconds = 0.0;
+  double seconds = 0.0;             ///< wall time of the solve; timing-dependent, so
+                                    ///< outside the determinism guarantee. How the
+                                    ///< time was spent is in the trace spans and the
+                                    ///< metrics registry (docs/observability.md)
   int instances_solved = 0;         ///< subset instances contributing to the reduction
                                     ///< (Sec. 4.1); once a subset proves cost 0, all
                                     ///< later subsets are skipped — they can at best tie
                                     ///< and lose the deterministic index tie-break
   int permutation_points = 0;       ///< |G'| + 1 (the paper's |G'| column counts
                                     ///< the free initial mapping too)
-  long long bound_polls = 0;        ///< shared-bound consultations made by the
-                                    ///< shards' engines mid-solve (cooperative
-                                    ///< tightening); timing-dependent — an
-                                    ///< observability number, NOT covered by the
-                                    ///< determinism guarantee
-  long long bound_tightenings = 0;  ///< polls that strictly tightened a shard's
-                                    ///< enforced Eq. (5) bound mid-flight;
-                                    ///< timing-dependent, like bound_polls
   std::string engine_name;
   bool verified = false;
   std::string verify_message;
@@ -163,11 +158,6 @@ struct MappingResult {
                             ///< false on results returned by the mappers
                             ///< themselves (and on dedup-joined results, which
                             ///< share the leader's fresh solve)
-  std::string trace_summary;  ///< phase → wall-time table ("phase  ms" lines),
-                              ///< populated only while tracing is enabled
-                              ///< (obs::TraceRecorder); empty otherwise.
-                              ///< Timing-dependent — an observability field,
-                              ///< NOT covered by the determinism guarantee
 };
 
 }  // namespace qxmap::exact

@@ -37,10 +37,11 @@
 ///
 /// Determinism caveat: trace contents (event counts, timestamps, thread
 /// attribution) depend on machine speed and scheduling. Like
-/// `MappingResult::bound_polls`, traces are observability artefacts and are
-/// explicitly **outside** the bit-identical determinism contract
-/// (docs/concurrency.md) — enabling tracing never changes any mapping
-/// result, only what is recorded about how it was computed.
+/// `MappingResult::seconds` and the metrics registry, traces are
+/// observability artefacts and are explicitly **outside** the bit-identical
+/// determinism contract (docs/concurrency.md) — enabling tracing never
+/// changes any mapping result, only what is recorded about how it was
+/// computed.
 /// docs/observability.md has the span taxonomy and the full contract.
 
 #pragma once

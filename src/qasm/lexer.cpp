@@ -69,7 +69,13 @@ std::vector<Token> tokenize(std::string_view src) {
       }
       tok.kind = TokenKind::Number;
       tok.text = std::string(src.substr(start, i - start));
-      tok.number = std::strtod(tok.text.c_str(), nullptr);
+      char* end = nullptr;
+      tok.number = std::strtod(tok.text.c_str(), &end);
+      // The scan takes any run of digits and dots, so "1.2.3" and "1e"
+      // reach here; strtod would silently read only their valid prefix.
+      if (end != tok.text.c_str() + tok.text.size()) {
+        throw LexError("malformed number '" + tok.text + "'", tok.line, tok.column);
+      }
       out.push_back(std::move(tok));
       continue;
     }

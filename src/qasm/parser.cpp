@@ -1,10 +1,12 @@
 #include "qasm/parser.hpp"
 
 #include <cerrno>
-#include <cmath>
+#include <charconv>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -158,6 +160,23 @@ class Parser {
     throw ParseError(message, at.line, at.column, line_excerpt(src_, at.line, at.column), file_);
   }
 
+  /// The value of an integer literal: a register size, a qubit or bit
+  /// index, or an `if` value. OpenQASM 2.0 writes these as plain decimal
+  /// digits, so a fraction or an exponent fails like a value above `max`.
+  [[nodiscard]] std::uint64_t integer(const Token& tok, const std::string& what,
+                                      std::uint64_t max) const {
+    std::uint64_t value = 0;
+    const char* last = tok.text.data() + tok.text.size();
+    const auto [end, ec] = std::from_chars(tok.text.data(), last, value);
+    if (end != last || ec == std::errc::invalid_argument) {
+      fail(what + " must be a non-negative integer", tok);
+    }
+    if (ec == std::errc::result_out_of_range || value > max) {
+      fail(what + " " + tok.text + " is out of range (at most " + std::to_string(max) + ")", tok);
+    }
+    return value;
+  }
+
   [[nodiscard]] const Token& peek() const { return tokens_[pos_]; }
 
   const Token& advance() { return tokens_[pos_++]; }
@@ -261,10 +280,14 @@ class Parser {
     const Token& size = expect(TokenKind::Number, "register size");
     expect(TokenKind::RBracket, "']'");
     expect(TokenKind::Semicolon, "';'");
-    const int n = static_cast<int>(size.number);
+    constexpr int kMaxInt = std::numeric_limits<int>::max();
+    const int n = static_cast<int>(integer(size, "register size", kMaxInt));
     if (n <= 0) fail("register size must be positive", size);
     if (quantum) {
       if (state_.qregs.contains(name.text)) fail("duplicate qreg '" + name.text + "'", name);
+      if (n > kMaxInt - state_.total_qubits) {
+        fail("total qubit count exceeds " + std::to_string(kMaxInt), size);
+      }
       state_.qregs[name.text] = {state_.total_qubits, n};
       state_.total_qubits += n;
     } else {
@@ -448,15 +471,12 @@ class Parser {
     if (it == state_.cregs.end()) fail("unknown creg '" + creg.text + "'", creg);
     expect(TokenKind::EqEq, "'=='");
     const Token value = expect(TokenKind::Number, "comparison value");
-    if (value.number < 0 || value.number != std::floor(value.number)) {
-      fail("condition value must be a non-negative integer", value);
-    }
+    Condition cond;
+    cond.value = integer(value, "condition value", std::numeric_limits<std::uint64_t>::max());
     expect(TokenKind::RParen, "')'");
 
-    Condition cond;
     cond.creg = creg.text;
     cond.width = it->second;
-    cond.value = static_cast<std::uint64_t>(value.number);
 
     const Token& op = peek();
     if (op.kind != TokenKind::Identifier) {
@@ -493,10 +513,7 @@ class Parser {
     if (accept(TokenKind::LBracket)) {
       const Token& idx = expect(TokenKind::Number, "index");
       expect(TokenKind::RBracket, "']'");
-      if (idx.number < 0 || idx.number != std::floor(idx.number)) {
-        fail("index must be a non-negative integer", idx);
-      }
-      op.index = static_cast<int>(idx.number);
+      op.index = static_cast<int>(integer(idx, "index", std::numeric_limits<int>::max()));
     }
     return op;
   }

@@ -1,5 +1,6 @@
 #include "real/real_parser.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -19,6 +20,21 @@ struct ParserState {
   bool ended = false;
 };
 
+/// A decimal integer field (`.numvars`, a gate arity, an x<idx> operand)
+/// that must fit in an int.
+int parse_int(const std::string& text, const std::string& what, int line_no) {
+  int value = 0;
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (ec == std::errc::result_out_of_range) {
+    throw RealParseError(what + " '" + text + "' is out of range", line_no);
+  }
+  if (ec != std::errc{} || end != last) {
+    throw RealParseError(what + " '" + text + "' is not an integer", line_no);
+  }
+  return value;
+}
+
 int resolve_line(const ParserState& st, const std::string& token, int line_no) {
   // Operands may be variable names or (in some RevLib dialects) x<idx>.
   if (const auto it = st.var_index.find(token); it != st.var_index.end()) {
@@ -27,7 +43,7 @@ int resolve_line(const ParserState& st, const std::string& token, int line_no) {
   if (token.size() >= 2 && token[0] == 'x') {
     const std::string idx = token.substr(1);
     if (!idx.empty() && idx.find_first_not_of("0123456789") == std::string::npos) {
-      const int i = std::stoi(idx);
+      const int i = parse_int(idx, "operand index", line_no);
       if (i >= 0 && i < st.num_vars) return i;
     }
   }
@@ -45,7 +61,7 @@ void handle_gate(ParserState& st, Circuit& circuit, RealFile& out,
   if (size_str.empty() || size_str.find_first_not_of("0123456789") != std::string::npos) {
     throw RealParseError("malformed gate mnemonic '" + mnemonic + "'", line_no);
   }
-  const int arity = std::stoi(size_str);
+  const int arity = parse_int(size_str, "gate size", line_no);
   if (static_cast<int>(tokens.size()) - 1 != arity) {
     throw RealParseError("gate '" + mnemonic + "' expects " + std::to_string(arity) + " operands",
                          line_no);
@@ -105,7 +121,7 @@ RealFile parse(std::string_view source, std::string name) {
     }
     if (head == ".numvars") {
       if (tokens.size() != 2) throw RealParseError(".numvars expects one argument", line_no);
-      st.num_vars = std::stoi(tokens[1]);
+      st.num_vars = parse_int(tokens[1], ".numvars", line_no);
       if (st.num_vars <= 0) throw RealParseError(".numvars must be positive", line_no);
       continue;
     }

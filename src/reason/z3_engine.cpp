@@ -96,8 +96,16 @@ Outcome Z3Engine::minimize(std::chrono::milliseconds budget) {
   const auto deadline = Clock::now() + budget;
   obs::Span span("z3.minimize", "z3");
   span.attr("budget_ms", static_cast<long long>(budget.count()));
-  static obs::Counter& checks_total = obs::MetricsRegistry::instance().counter(
+  auto& registry = obs::MetricsRegistry::instance();
+  static obs::Counter& checks_total = registry.counter(
       "qxmap_z3_checks_total", "Z3 optimize check() calls (sliced re-checks included)");
+  // The same bound-protocol counters CdclEngine publishes; polls happen
+  // once per slice, so they are counted as they occur.
+  static obs::Counter& polls_total = registry.counter(
+      "qxmap_engine_bound_polls_total", "Shared-bound consultations at engine checkpoints");
+  static obs::Counter& tightenings_total =
+      registry.counter("qxmap_engine_bound_tightenings_total",
+                       "Polls that strictly tightened an engine's external bound");
 
   Outcome out;
   // Each z3::check() restarts the search, so slicing trades contiguous
@@ -112,8 +120,10 @@ Outcome Z3Engine::minimize(std::chrono::milliseconds budget) {
     // in budget slices instead (see the header comment).
     if (has_bound_source()) {
       const long long ext = poll_bound_source();
+      polls_total.inc();
       if (ext < impl_->applied_bound) {
         ++stats_.bound_tightenings;
+        tightenings_total.inc();
         if (obs::TraceRecorder::enabled()) {
           obs::Span::instant("z3.tighten", "z3", {{"bound", std::to_string(ext)}});
         }

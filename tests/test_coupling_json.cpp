@@ -192,6 +192,14 @@ TEST(CouplingJsonReject, OutOfRangeEndpointsNameTheExactPath) {
                    "edges[2].control: qubit index -1 out of range");
   expect_rejection(R"({"qubits": 2, "edges": [[1, 1]]})",
                    "edges[0]: self-loop on qubit 1");
+  // Integers beyond int are rejected, not wrapped: 4294967299 and
+  // 4294967297 would otherwise load as qubits 3 and 1.
+  expect_rejection(R"({"qubits": 4294967299, "edges": [[0, 4294967297], [1, 2]]})",
+                   "qubits: integer out of range for int");
+  expect_rejection(R"({"qubits": 3, "edges": [[0, 4294967297], [1, 2]]})",
+                   "edges[0][1]: integer out of range for int");
+  expect_rejection(R"({"qubits": 3, "edges": [{"control": -99999999999999999999, "target": 0}]})",
+                   "edges[0].control: integer out of range for int");
   expect_rejection(R"({"qubits": 2, "edges": [[0]]})",
                    "edges[0]: expected a [control, target] pair, got 1 entries");
   expect_rejection(R"({"qubits": 2, "edges": [{"target": 1}]})",

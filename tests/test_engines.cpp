@@ -10,6 +10,7 @@
 
 #include "common/rng.hpp"
 #include "exact/types.hpp"
+#include "metric_delta.hpp"
 #include "reason/cdcl_engine.hpp"
 
 namespace qxmap {
@@ -75,6 +76,26 @@ TEST_P(EngineTest, ExactlyOneChoosesMinimumWeight) {
   const auto out = e->minimize(kBudget);
   EXPECT_EQ(out.status, Status::Optimal);
   EXPECT_TRUE(e->value(vars[2]));  // weight 4
+}
+
+TEST_P(EngineTest, BoundCountersReachTheRegistry) {
+  // The qxmap_engine_bound_* counters are the only per-request record of
+  // the bound protocol, so every engine publishes what its stats() count.
+  const testutil::CounterDelta polls("qxmap_engine_bound_polls_total");
+  const testutil::CounterDelta tightenings("qxmap_engine_bound_tightenings_total");
+  auto e = make_engine(GetParam());
+  const int a = e->new_bool();
+  const int b = e->new_bool();
+  e->add_clause({a + 1, b + 1});
+  e->add_cost(a, 3);
+  e->add_cost(b, 5);
+  e->set_bound_source([] { return 4LL; });
+  const auto out = e->minimize(kBudget);
+  ASSERT_EQ(out.status, Status::Optimal);
+  EXPECT_EQ(out.cost, 3);
+  EXPECT_GE(e->stats().bound_tightenings, 1);  // 4 < "no bound known"
+  EXPECT_EQ(polls(), static_cast<std::uint64_t>(e->stats().bound_polls));
+  EXPECT_EQ(tightenings(), static_cast<std::uint64_t>(e->stats().bound_tightenings));
 }
 
 TEST_P(EngineTest, HelpersProduceConsistentCircuits) {

@@ -16,6 +16,7 @@
 #include "bench_circuits/generators.hpp"
 #include "bench_circuits/table1_suite.hpp"
 #include "exact/exact_mapper.hpp"
+#include "metric_delta.hpp"
 #include "reason/cdcl_engine.hpp"
 
 namespace qxmap {
@@ -26,6 +27,7 @@ using exact::map_exact;
 using exact::MappingResult;
 using reason::EngineKind;
 using reason::Status;
+using testutil::CounterDelta;
 
 ExactOptions subset_options(EngineKind kind, int num_threads) {
   ExactOptions opt;
@@ -454,6 +456,8 @@ TEST(MidSolveTightening, CheapSubsetAbortsInFlightExpensiveShards) {
   opt.use_subsets = true;
   opt.num_threads = 6;  // every instance gets a worker up front
   opt.budget = std::chrono::milliseconds(120000);
+  const CounterDelta polls("qxmap_engine_bound_polls_total");
+  const CounterDelta tightenings("qxmap_engine_bound_tightenings_total");
   const auto res = map_exact(c, cm, opt);
   ASSERT_EQ(res.status, Status::Optimal);
   EXPECT_EQ(res.cost_f, 0);
@@ -463,8 +467,8 @@ TEST(MidSolveTightening, CheapSubsetAbortsInFlightExpensiveShards) {
   // inside its long solves, so polls are certain; the tightenings prove the cycle subset's cost-0 bound landed
   // *inside* sparse shards that were already solving (the serial schedule
   // only ever hands bounds over at solve start).
-  EXPECT_GE(res.bound_polls, 6);
-  EXPECT_GE(res.bound_tightenings, 1);
+  EXPECT_GE(polls(), 6u);
+  EXPECT_GE(tightenings(), 1u);
 }
 
 TEST(MidSolveTightening, SerialRunNeverTightensMidSolve) {
@@ -478,10 +482,12 @@ TEST(MidSolveTightening, SerialRunNeverTightensMidSolve) {
   opt.use_subsets = true;
   opt.num_threads = 1;
   opt.budget = std::chrono::milliseconds(120000);
+  const CounterDelta polls("qxmap_engine_bound_polls_total");
+  const CounterDelta tightenings("qxmap_engine_bound_tightenings_total");
   const auto serial = map_exact(c, cm, opt);
   ASSERT_EQ(serial.status, Status::Optimal);
-  EXPECT_EQ(serial.bound_tightenings, 0);
-  EXPECT_GE(serial.bound_polls, 6);
+  EXPECT_EQ(tightenings(), 0u);
+  EXPECT_GE(polls(), 6u);
   opt.num_threads = 6;
   const auto parallel = map_exact(c, cm, opt);
   expect_identical(serial, parallel, "tail-cycle6, 1 vs 6 threads");

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <numbers>
 #include <string>
 
@@ -32,6 +34,9 @@ void expect_parse_error(std::string_view src, int line, int column, std::string_
 TEST(QasmLexer, RejectsGarbage) {
   EXPECT_THROW(qasm::parse("qreg q[2]; @"), qasm::LexError);
   EXPECT_THROW(qasm::parse("qreg q[2]; \"unterminated"), qasm::LexError);
+  // A number is read whole or rejected, never by its valid prefix.
+  EXPECT_THROW(qasm::parse("qreg q[1];\nrz(1.2.3) q[0];"), qasm::LexError);
+  EXPECT_THROW(qasm::parse("qreg q[1];\nrz(2e) q[0];"), qasm::LexError);
 }
 
 TEST(QasmLexer, LexErrorCarriesLocation) {
@@ -435,6 +440,29 @@ TEST(QasmParser, DiagnosticsCarryLocationAndExcerpt) {
   expect_parse_error("gate g a { x a;", 1, 16, "unterminated gate body");
   expect_parse_error("include \"no_such_file_qxmap.inc\";", 1, 9, "cannot resolve include");
   expect_parse_error("qreg q[1]; 5;", 1, 12, "expected statement");
+  // Register sizes, indices and `if` values are plain decimal integers: a
+  // fraction or an exponent is rejected instead of truncated, and a value
+  // too large for its field is rejected instead of cast.
+  expect_parse_error("qreg q[2.5];", 1, 8, "register size must be a non-negative integer");
+  expect_parse_error("creg c[1e1];", 1, 8, "register size must be a non-negative integer");
+  expect_parse_error("qreg q[3000000000];", 1, 8, "register size 3000000000 is out of range");
+  expect_parse_error("qreg a[2000000000]; qreg b[2000000000];", 1, 28,
+                     "total qubit count exceeds 2147483647");
+  expect_parse_error("qreg q[2]; h q[1e30];", 1, 16, "index must be a non-negative integer");
+  expect_parse_error("qreg q[2]; h q[1.0];", 1, 16, "index must be a non-negative integer");
+  expect_parse_error("qreg q[2]; h q[99999999999];", 1, 16, "index 99999999999 is out of range");
+  expect_parse_error("qreg q[1]; creg c[1];\nmeasure q[0] -> c[4294967296];", 2, 19,
+                     "index 4294967296 is out of range");
+  expect_parse_error("qreg q[1]; creg c[1];\nif (c == 1e30) x q[0];", 2, 10,
+                     "condition value must be a non-negative integer");
+  expect_parse_error("qreg q[1]; creg c[1];\nif (c == 18446744073709551616) x q[0];", 2, 10,
+                     "condition value 18446744073709551616 is out of range");
+}
+
+TEST(QasmParser, IfValueKeepsTheFullUnsignedRange) {
+  const Circuit c = qasm::parse("qreg q[1]; creg c[64];\nif (c == 18446744073709551615) x q[0];");
+  ASSERT_EQ(c.size(), 1u);
+  EXPECT_EQ(c.gate(0).condition->value, std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(QasmParser, ErrorWhatShowsSourceLineWithCaret) {

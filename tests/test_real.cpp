@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "real/mct_decomposer.hpp"
 #include "sim/unitary.hpp"
 
@@ -150,6 +152,30 @@ TEST(RealParser, Errors) {
   EXPECT_THROW(real::parse(".numvars 2\n.begin\nt2 x0 x1\n"), real::RealParseError);  // no .end
   EXPECT_THROW(real::parse(".numvars 1\n.variables a b\n.begin\n.end\n"),
                real::RealParseError);
+}
+
+TEST(RealParser, MalformedNumericFieldsReportTheirLine) {
+  // Each case must raise RealParseError naming its line, not a bare
+  // std::invalid_argument / std::out_of_range from the integer conversion.
+  const struct {
+    const char* source;
+    const char* message;
+  } cases[] = {
+      {"# header\n.numvars abc\n", "line 2: .numvars 'abc' is not an integer"},
+      {".numvars 99999999999\n", "line 1: .numvars '99999999999' is out of range"},
+      {".numvars 2\n.begin\nt99999999999 x0 x1\n.end\n",
+       "line 3: gate size '99999999999' is out of range"},
+      {".numvars 2\n.begin\nt2 x0 x99999999999\n.end\n",
+       "line 3: operand index '99999999999' is out of range"},
+  };
+  for (const auto& c : cases) {
+    try {
+      (void)real::parse(c.source);
+      ADD_FAILURE() << "expected RealParseError for: " << c.source;
+    } catch (const real::RealParseError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(RealParser, DecomposedNetlistIsMappable) {

@@ -16,15 +16,28 @@
 
 #include "api/service.hpp"
 #include "arch/architectures.hpp"
-#include "obs/trace.hpp"
 #include "arch/coupling_json.hpp"
 #include "bench_circuits/generators.hpp"
+#include "metric_delta.hpp"
+#include "obs/trace.hpp"
 
 namespace qxmap {
 namespace {
 
 using api::MappingService;
 using exact::MappingResult;
+using testutil::CounterDelta;
+
+/// The service's registry counters, read as deltas over one test.
+struct ServiceCounters {
+  CounterDelta requests{"qxmap_service_requests_total"};
+  CounterDelta hits{"qxmap_service_cache_hits_total"};
+  CounterDelta coalesced{"qxmap_service_dedup_joins_total"};
+  CounterDelta misses{"qxmap_service_cache_misses_total"};
+  CounterDelta solves{"qxmap_service_solves_total"};
+  CounterDelta failures{"qxmap_service_failures_total"};
+  CounterDelta evictions{"qxmap_service_cache_evictions_total"};
+};
 
 Circuit small_circuit(const std::string& name, std::uint64_t seed = 7) {
   Circuit c = bench::random_circuit(3, 4, 3, seed);
@@ -40,10 +53,8 @@ MapOptions exact_options() {
 }
 
 /// The cache-hit identity: every result field must equal the populating
-/// solve's, except the documented exclusions — `from_cache` itself, the
-/// re-measured `seconds`, and nothing else. The engine-stats counters
-/// (`bound_polls`, `bound_tightenings`) are stored values, so they are
-/// *included*: a hit replays them verbatim.
+/// solve's except `from_cache`. `seconds` is the stored value, so it is
+/// equal too.
 void expect_hit_identical(const MappingResult& fresh, const MappingResult& hit) {
   EXPECT_TRUE(hit.from_cache);
   EXPECT_FALSE(fresh.from_cache);
@@ -55,8 +66,6 @@ void expect_hit_identical(const MappingResult& fresh, const MappingResult& hit) 
   EXPECT_EQ(hit.final_layout, fresh.final_layout);
   EXPECT_EQ(hit.instances_solved, fresh.instances_solved);
   EXPECT_EQ(hit.permutation_points, fresh.permutation_points);
-  EXPECT_EQ(hit.bound_polls, fresh.bound_polls);
-  EXPECT_EQ(hit.bound_tightenings, fresh.bound_tightenings);
   EXPECT_EQ(hit.engine_name, fresh.engine_name);
   EXPECT_EQ(hit.verified, fresh.verified);
   EXPECT_EQ(hit.verify_message, fresh.verify_message);
@@ -69,14 +78,14 @@ TEST(MappingServiceCache, HitIsBitIdenticalToThePopulatingSolve) {
   MappingService service(4);
   const Circuit c = small_circuit("svc-identity");
   const auto cm = arch::ibm_qx4();
+  const ServiceCounters counters;
   const MappingResult fresh = service.map(c, cm, exact_options());
   const MappingResult hit = service.map(c, cm, exact_options());
   expect_hit_identical(fresh, hit);
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.requests, 2u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.solves, 1u);
+  EXPECT_EQ(counters.requests(), 2u);
+  EXPECT_EQ(counters.hits(), 1u);
+  EXPECT_EQ(counters.misses(), 1u);
+  EXPECT_EQ(counters.solves(), 1u);
 }
 
 TEST(MappingServiceCache, CachedHitEmitsCacheHitSpanAndNoSolverSpans) {
@@ -130,6 +139,7 @@ TEST(MappingServiceCache, HitRestampsNamesForTheRequestingCircuit) {
 
 TEST(MappingServiceCache, LruEvictionDropsLeastRecentlyUsed) {
   MappingService service(2);
+  const CounterDelta evictions("qxmap_service_cache_evictions_total");
   const auto cm = arch::ibm_qx4();
   const Circuit a = small_circuit("lru-a", 11);
   const Circuit b = small_circuit("lru-b", 22);
@@ -142,7 +152,7 @@ TEST(MappingServiceCache, LruEvictionDropsLeastRecentlyUsed) {
   EXPECT_TRUE(service.map(a, cm, o).from_cache);  // a refreshed: [a, b]
   (void)service.map(c, cm, o);                    // evicts b:    [c, a]
   EXPECT_EQ(service.size(), 2u);
-  EXPECT_EQ(service.stats().evictions, 1u);
+  EXPECT_EQ(evictions(), 1u);
   EXPECT_TRUE(service.map(a, cm, o).from_cache);   // a survived
   EXPECT_TRUE(service.map(c, cm, o).from_cache);   // c cached
   EXPECT_FALSE(service.map(b, cm, o).from_cache);  // b was the eviction victim
@@ -150,12 +160,13 @@ TEST(MappingServiceCache, LruEvictionDropsLeastRecentlyUsed) {
 
 TEST(MappingServiceCache, ZeroCapacityNeverCaches) {
   MappingService service(0);
+  const CounterDelta solves("qxmap_service_solves_total");
   const Circuit c = small_circuit("svc-nocache");
   const auto cm = arch::ibm_qx4();
   EXPECT_FALSE(service.map(c, cm, exact_options()).from_cache);
   EXPECT_FALSE(service.map(c, cm, exact_options()).from_cache);
   EXPECT_EQ(service.size(), 0u);
-  EXPECT_EQ(service.stats().solves, 2u);
+  EXPECT_EQ(solves(), 2u);
 }
 
 TEST(MappingServiceCache, OnlyFinalExactResultsAreCached) {
@@ -164,6 +175,7 @@ TEST(MappingServiceCache, OnlyFinalExactResultsAreCached) {
   // may run with more threads — and must be solved again. An Optimal result
   // and a heuristic's (always Feasible) result are final and replay.
   std::atomic<int> calls{0};
+  const CounterDelta solves("qxmap_service_solves_total");
   reason::Status exact_status = reason::Status::Feasible;
   MappingService service(4, [&](const Circuit& c, const arch::CouplingMap&, const MapOptions& o) {
     ++calls;
@@ -196,7 +208,7 @@ TEST(MappingServiceCache, OnlyFinalExactResultsAreCached) {
   EXPECT_FALSE(service.map(c, cm, sabre).from_cache);
   EXPECT_TRUE(service.map(c, cm, sabre).from_cache);
   EXPECT_EQ(calls.load(), 4);
-  EXPECT_EQ(service.stats().solves, 4u);
+  EXPECT_EQ(solves(), 4u);
 }
 
 TEST(MappingServiceKey, PerformanceKnobsDoNotForkEntries) {
@@ -212,9 +224,10 @@ TEST(MappingServiceKey, PerformanceKnobsDoNotForkEntries) {
   // End to end: a 1-thread miss then an 8-thread request — the latter must
   // hit the former's entry.
   MappingService service(4);
+  const CounterDelta solves("qxmap_service_solves_total");
   EXPECT_FALSE(service.map(c, cm, base).from_cache);
   EXPECT_TRUE(service.map(c, cm, threads8).from_cache);
-  EXPECT_EQ(service.stats().solves, 1u);
+  EXPECT_EQ(solves(), 1u);
 }
 
 TEST(MappingServiceKey, ResultAffectingOptionsForkEntries) {
@@ -373,6 +386,7 @@ TEST(MappingServiceDedup, NIdenticalConcurrentRequestsShareOneSolve) {
   constexpr int kCallers = 8;
   GatedSolver solver;
   MappingService service(4, solver.fn());
+  const ServiceCounters counters;
   const Circuit c = small_circuit("svc-dedup");
   const auto cm = arch::ibm_qx4();
 
@@ -387,20 +401,19 @@ TEST(MappingServiceDedup, NIdenticalConcurrentRequestsShareOneSolve) {
   }
   // Wait until every caller has either joined the in-flight solve or hit
   // the cache, then let the leader finish.
-  while (service.stats().requests < kCallers) {
+  while (counters.requests() < kCallers) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   solver.release = true;
   for (auto& t : callers) t.join();
 
   EXPECT_EQ(solver.calls.load(), 1);  // exactly one solve
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kCallers));
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.solves, 1u);
+  EXPECT_EQ(counters.requests(), static_cast<std::uint64_t>(kCallers));
+  EXPECT_EQ(counters.misses(), 1u);
+  EXPECT_EQ(counters.solves(), 1u);
   // Every non-leader either coalesced onto the in-flight solve or (having
   // arrived after completion) hit the cache.
-  EXPECT_EQ(stats.coalesced + stats.hits, static_cast<std::uint64_t>(kCallers - 1));
+  EXPECT_EQ(counters.coalesced() + counters.hits(), static_cast<std::uint64_t>(kCallers - 1));
   for (const auto& r : results) {
     EXPECT_EQ(r.cost_f, 42);
     EXPECT_EQ(r.status, reason::Status::Optimal);
@@ -419,15 +432,16 @@ TEST(MappingServiceDedup, FailingSolveIsRetriedNotCached) {
   });
   const Circuit c = small_circuit("svc-retry");
   const auto cm = arch::ibm_qx4();
+  const ServiceCounters counters;
   EXPECT_THROW((void)service.map(c, cm, exact_options()), std::runtime_error);
   EXPECT_EQ(service.size(), 0u);  // nothing cached
-  EXPECT_EQ(service.stats().failures, 1u);
+  EXPECT_EQ(counters.failures(), 1u);
   // The retry leads a fresh solve (no poisoned in-flight entry to join).
   const MappingResult r = service.map(c, cm, exact_options());
   EXPECT_FALSE(r.from_cache);
   EXPECT_EQ(r.status, reason::Status::Optimal);
   EXPECT_EQ(calls.load(), 2);
-  EXPECT_EQ(service.stats().solves, 1u);
+  EXPECT_EQ(counters.solves(), 1u);
 }
 
 TEST(MappingServiceDedup, FailurePropagatesToEveryJoiner) {
@@ -441,6 +455,7 @@ TEST(MappingServiceDedup, FailurePropagatesToEveryJoiner) {
   });
   const Circuit c = small_circuit("svc-joinfail");
   const auto cm = arch::ibm_qx4();
+  const CounterDelta requests("qxmap_service_requests_total");
 
   constexpr int kCallers = 4;
   std::atomic<int> threw{0};
@@ -454,7 +469,7 @@ TEST(MappingServiceDedup, FailurePropagatesToEveryJoiner) {
       }
     });
   }
-  while (service.stats().requests < kCallers) {
+  while (requests() < kCallers) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   solver.release = true;
@@ -473,6 +488,7 @@ TEST(MappingServiceDedup, FailurePropagatesToEveryJoiner) {
 /// job), not the exact interleaving counts.
 TEST(MappingServiceStress, MixedHammerAcrossArchitecturesIsRaceFree) {
   MappingService service(6);
+  const ServiceCounters counters;
   const std::vector<arch::CouplingMap> archs = {arch::ibm_qx2(), arch::ibm_qx4(),
                                                 arch::ibm_qx5(), arch::ibm_tokyo()};
   MapOptions o = exact_options();
@@ -499,11 +515,10 @@ TEST(MappingServiceStress, MixedHammerAcrossArchitecturesIsRaceFree) {
   }
   for (auto& t : pool) t.join();
   EXPECT_EQ(completed.load(), kThreads * kIterations);
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kThreads * kIterations));
-  EXPECT_EQ(stats.hits + stats.coalesced + stats.misses, stats.requests);
-  EXPECT_EQ(stats.solves + stats.failures, stats.misses);
-  EXPECT_EQ(stats.failures, 0u);
+  EXPECT_EQ(counters.requests(), static_cast<std::uint64_t>(kThreads * kIterations));
+  EXPECT_EQ(counters.hits() + counters.coalesced() + counters.misses(), counters.requests());
+  EXPECT_EQ(counters.solves() + counters.failures(), counters.misses());
+  EXPECT_EQ(counters.failures(), 0u);
 }
 
 }  // namespace

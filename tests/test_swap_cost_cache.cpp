@@ -14,12 +14,21 @@
 #include "api/qxmap.hpp"
 #include "arch/architectures.hpp"
 #include "common/permutation.hpp"
+#include "metric_delta.hpp"
 
 namespace qxmap {
 namespace {
 
 using arch::CouplingMap;
 using arch::SwapCostCache;
+using testutil::CounterDelta;
+
+/// The table store's registry counters, read as deltas over one test.
+struct TableCounters {
+  CounterDelta hits{"qxmap_swap_cost_cache_table_hits_total"};
+  CounterDelta misses{"qxmap_swap_cost_cache_table_misses_total"};
+  CounterDelta evictions{"qxmap_swap_cost_cache_table_evictions_total"};
+};
 
 TEST(Fingerprint, EncodesQubitCountAndDirectedEdges) {
   const CouplingMap a(3, {{0, 1}, {1, 2}});
@@ -52,15 +61,15 @@ TEST(Fingerprint, QubitCountMattersBeyondEdges) {
 
 TEST(SwapCostCacheTest, MissThenHitSharesOneTable) {
   SwapCostCache cache(4);
+  const TableCounters counters;
   const auto cm = arch::ibm_qx4();
   const auto first = cache.table(cm);
   const auto second = cache.table(cm);
   EXPECT_EQ(first.get(), second.get());
   EXPECT_EQ(cache.table_entries(), 1u);
-  const auto stats = cache.table_stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(counters.misses(), 1u);
+  EXPECT_EQ(counters.hits(), 1u);
+  EXPECT_EQ(counters.evictions(), 0u);
   // The cached table is the real thing.
   EXPECT_EQ(first->swaps(Permutation(5)), 0);
   EXPECT_EQ(first->max_swaps(), arch::SwapCostTable(cm).max_swaps());
@@ -93,6 +102,7 @@ TEST(SwapCostCacheTest, DirectedVsBidirectedGetDistinctEntries) {
 
 TEST(SwapCostCacheTest, LruEvictionAtCapacity) {
   SwapCostCache cache(2);
+  const TableCounters counters;
   const auto a = arch::linear(3);
   const auto b = arch::ring(3);
   const auto c = arch::clique(3);
@@ -104,15 +114,16 @@ TEST(SwapCostCacheTest, LruEvictionAtCapacity) {
   (void)cache.table(a);  // touch a: b becomes least recently used
   (void)cache.table(c);  // inserts c, evicts b
   EXPECT_EQ(cache.table_entries(), 2u);
-  EXPECT_EQ(cache.table_stats().evictions, 1u);
+  EXPECT_EQ(counters.evictions(), 1u);
 
   // a survived (hit), b was evicted (miss again), and the handle returned
   // for a is still the original object.
-  const auto before = cache.table_stats();
+  const std::uint64_t hits = counters.hits();
+  const std::uint64_t misses = counters.misses();
   EXPECT_EQ(cache.table(a).get(), ta.get());
-  EXPECT_EQ(cache.table_stats().hits, before.hits + 1);
+  EXPECT_EQ(counters.hits(), hits + 1);
   (void)cache.table(b);
-  EXPECT_EQ(cache.table_stats().misses, before.misses + 1);
+  EXPECT_EQ(counters.misses(), misses + 1);
 }
 
 TEST(SwapCostCacheTest, EvictedHandleStaysValid) {
@@ -128,27 +139,29 @@ TEST(SwapCostCacheTest, EvictedHandleStaysValid) {
 
 TEST(SwapCostCacheTest, SetCapacityEvictsImmediately) {
   SwapCostCache cache(4);
+  const CounterDelta evictions("qxmap_swap_cost_cache_table_evictions_total");
   (void)cache.table(arch::linear(3));
   (void)cache.table(arch::ring(3));
   (void)cache.table(arch::clique(3));
   EXPECT_EQ(cache.table_entries(), 3u);
   cache.set_capacity(1);
   EXPECT_EQ(cache.table_entries(), 1u);
-  EXPECT_EQ(cache.table_stats().evictions, 2u);
+  EXPECT_EQ(evictions(), 2u);
   // Capacity is clamped to at least one entry.
   cache.set_capacity(0);
   EXPECT_EQ(cache.capacity(), 1u);
 }
 
-TEST(SwapCostCacheTest, ClearDropsEntriesAndStats) {
+TEST(SwapCostCacheTest, ClearDropsEntriesKeepsCounters) {
   SwapCostCache cache(4);
+  const CounterDelta misses("qxmap_swap_cost_cache_table_misses_total");
   (void)cache.table(arch::ibm_qx4());
   (void)cache.distances(arch::ibm_qx4());
   cache.clear();
   EXPECT_EQ(cache.table_entries(), 0u);
   EXPECT_EQ(cache.distance_entries(), 0u);
-  EXPECT_EQ(cache.table_stats().misses, 0u);
-  EXPECT_EQ(cache.distance_stats().misses, 0u);
+  // The registry counters are process-lifetime tallies.
+  EXPECT_EQ(misses(), 1u);
 }
 
 TEST(SwapCostCacheTest, OversizedArchitectureErrorIsNotCached) {
@@ -163,6 +176,7 @@ TEST(SwapCostCacheTest, OversizedArchitectureErrorIsNotCached) {
 
 TEST(SwapCostCacheTest, ManyThreadsHammerOneTable) {
   SwapCostCache cache(4);
+  const TableCounters counters;
   const auto cm = arch::ibm_qx4();
   constexpr int kThreads = 8;
   constexpr int kIterations = 200;
@@ -188,18 +202,18 @@ TEST(SwapCostCacheTest, ManyThreadsHammerOneTable) {
     EXPECT_EQ(seen[static_cast<std::size_t>(t)].get(), seen[0].get());
   }
   EXPECT_EQ(cache.table_entries(), 1u);
-  const auto stats = cache.table_stats();
   // Simultaneous first misses may build duplicates (bounded by the thread
   // count), but every lookup is accounted for.
-  EXPECT_GE(stats.misses, 1u);
-  EXPECT_LE(stats.misses, static_cast<std::uint64_t>(kThreads));
-  EXPECT_EQ(stats.hits + stats.misses,
+  EXPECT_GE(counters.misses(), 1u);
+  EXPECT_LE(counters.misses(), static_cast<std::uint64_t>(kThreads));
+  EXPECT_EQ(counters.hits() + counters.misses(),
             static_cast<std::uint64_t>(kThreads) * static_cast<std::uint64_t>(kIterations));
 }
 
 TEST(SwapCostCacheTest, ConcurrentMapCallsShareTheProcessWideCache) {
   auto& cache = SwapCostCache::instance();
   cache.clear();
+  const CounterDelta hits("qxmap_swap_cost_cache_table_hits_total");
 
   Circuit c(3, "cache-hammer");
   c.cnot(0, 1);
@@ -227,7 +241,7 @@ TEST(SwapCostCacheTest, ConcurrentMapCallsShareTheProcessWideCache) {
   }
   // The subset instances of all four concurrent calls fed one cache; the
   // distinct induced 3-subset shapes of QX4 are far fewer than the lookups.
-  EXPECT_GE(cache.table_stats().hits, 1u);
+  EXPECT_GE(hits(), 1u);
   EXPECT_GT(cache.table_entries(), 0u);
 }
 
