@@ -230,12 +230,29 @@ void Encoding::encode_suffix(const arch::CouplingMap& cm) {
     engine_.add_cost(z_[static_cast<std::size_t>(k)], costs_.reverse_cost);
   }
 
-  // --- Eq. (5): 7·swaps(π) per chosen permutation -----------------------
-  for (std::size_t p = 0; p < y_.size(); ++p) {
-    for (std::size_t q = 0; q < perms_.size(); ++q) {
-      const int sw = perm_swaps_[q];
-      if (sw > 0) engine_.add_cost(y_[p][q], static_cast<long long>(costs_.swap_cost) * sw);
+  // --- Eq. (5): a swap-count ladder per point (see encoder.hpp) ---------
+  const int max_swaps = *std::max_element(perm_swaps_.begin(), perm_swaps_.end());
+  for (const auto& ys : y_) {
+    std::vector<int> rung(static_cast<std::size_t>(max_swaps) + 1);  // rung[s] = c_s, s >= 1
+    std::vector<std::vector<int>> support(rung.size());  // support[s] = ¬c_s ∨ y_π ...
+    for (int s = 1; s <= max_swaps; ++s) {
+      const auto si = static_cast<std::size_t>(s);
+      rung[si] = engine_.new_bool();
+      engine_.add_cost(rung[si], costs_.swap_cost);
+      support[si].push_back(-lit(rung[si]));
+      if (s > 1) engine_.add_clause({-lit(rung[si]), lit(rung[si - 1])});  // c_s → c_{s-1}
     }
+    for (std::size_t q = 0; q < perms_.size(); ++q) {
+      const auto sw = static_cast<std::size_t>(perm_swaps_[q]);
+      if (sw == 0) continue;
+      engine_.add_clause({-lit(ys[q]), lit(rung[sw])});  // y_π → c_{swaps(π)}
+      for (std::size_t s = 1; s <= sw; ++s) support[s].push_back(lit(ys[q]));
+      ++clause_count_;
+    }
+    // c_s → ∨{ y_π : swaps(π) >= s }
+    for (int s = 1; s <= max_swaps; ++s) engine_.add_clause(support[static_cast<std::size_t>(s)]);
+    var_count_ += static_cast<std::size_t>(max_swaps);
+    if (max_swaps > 0) clause_count_ += 2 * static_cast<std::size_t>(max_swaps) - 1;
   }
 }
 

@@ -16,6 +16,15 @@
 ///  * Eq. (4) is strengthened to z^k ↔ (reverse placement ∧ ¬forward
 ///    placement) so that bidirected couplings do not pay the 4-H penalty;
 ///    on the antisymmetric QX coupling maps this is exactly Eq. (4).
+///  * Eq. (5) charges each point through a unary swap-count ladder rather
+///    than one weighted term per y^k_π: with S the largest swaps(π), fresh
+///    rungs c^k_1..c^k_S satisfy c^k_s ↔ ∨{ y^k_π : swaps(π) >= s }
+///    (clauses y^k_π → c^k_{swaps(π)}, c^k_{s+1} → c^k_s and
+///    c^k_s → ∨{ y^k_π : swaps(π) >= s }), and each rung costs one SWAP
+///    weight. The link holds both ways, so exactly swaps(π) rungs are true
+///    for the chosen π and the objective equals Eq. (5) in every model.
+///    The cost bound then sums S rungs per point that imply each other,
+///    instead of m!-1 weighted y's it would treat as independent.
 
 #pragma once
 
@@ -36,12 +45,13 @@ namespace qxmap::exact {
 /// The formulation splits into a coupling-independent *prefix* — the x/y
 /// variables with Eq. (1) and Eq. (3), fixed by (skeleton, n, m, G') alone —
 /// and a per-instance *suffix*: Eq. (2)/(4) over the coupling map's edges
-/// plus every cost term (swaps(π) depends on the induced map). The Sec. 4.1
-/// subset instances of one circuit all share the prefix, so build_prefix()
-/// captures it once as an engine-agnostic clause list and the prefix
-/// constructor replays it (remapping the prefix-local variable ids into the
-/// engine) or — when the engine still holds the prefix from a
-/// ReasoningEngine::reset_to_prefix() — skips straight to the suffix.
+/// plus every cost term, the Eq. (5) ladders included (swaps(π) depends on
+/// the induced map). The Sec. 4.1 subset instances of one circuit all
+/// share the prefix, so build_prefix() captures it once as an
+/// engine-agnostic clause list and the prefix constructor replays it
+/// (remapping the prefix-local variable ids into the engine) or — when the
+/// engine still holds the prefix from a ReasoningEngine::reset_to_prefix()
+/// — skips straight to the suffix.
 class Encoding {
  public:
   /// The shared, engine-agnostic part of the formulation. Clause literals

@@ -81,6 +81,9 @@ struct GateDef {
     std::vector<int> qubit_slots;  // indices into the caller's qargs
   };
   std::vector<BodyOp> body;
+  /// Gates one application emits once fully expanded, saturated at the
+  /// largest std::uint64_t; computed once, at definition time.
+  std::uint64_t expanded_size = 0;
 };
 
 struct RegInfo {
@@ -100,10 +103,15 @@ struct ParseState {
   std::vector<Gate> gates;
 };
 
-/// (#params, #qubits) of a gate name, or nullopt if unknown.
+/// Gates emitted by one CCX (its Clifford+T decomposition).
+constexpr std::uint64_t kCcxGates = 15;
+
+/// (#params, #qubits, #gates one application emits once fully expanded) of
+/// a gate name, or nullopt if unknown.
 struct Signature {
   int num_params = 0;
   int num_qubits = 0;
+  std::uint64_t num_gates = 1;
 };
 
 std::optional<Signature> signature_of(const ParseState& state, std::string_view name) {
@@ -112,12 +120,19 @@ std::optional<Signature> signature_of(const ParseState& state, std::string_view 
     return Signature{parameter_count(it->second), 1};
   }
   if (name == "cx" || name == "CX" || name == "swap") return Signature{0, 2};
-  if (name == "ccx") return Signature{0, 3};
+  if (name == "ccx") return Signature{0, 3, kCcxGates};
   if (const auto it = state.gate_defs.find(std::string(name)); it != state.gate_defs.end()) {
     return Signature{static_cast<int>(it->second.params.size()),
-                     static_cast<int>(it->second.qargs.size())};
+                     static_cast<int>(it->second.qargs.size()), it->second.expanded_size};
   }
   return std::nullopt;
+}
+
+/// a + b, saturated at the largest std::uint64_t.
+std::uint64_t saturating_add(std::uint64_t a, std::uint64_t b) {
+  return a > std::numeric_limits<std::uint64_t>::max() - b
+             ? std::numeric_limits<std::uint64_t>::max()
+             : a + b;
 }
 
 bool is_primitive(std::string_view name) {
@@ -253,7 +268,7 @@ class Parser {
       return;
     }
     if (head == "barrier") {
-      advance();
+      reserve_gates(1, 1, advance());
       // The qubit list is irrelevant for mapping; consume it.
       while (peek().kind != TokenKind::Semicolon && peek().kind != TokenKind::EndOfFile) advance();
       expect(TokenKind::Semicolon, "';'");
@@ -394,6 +409,9 @@ class Parser {
     while (!accept(TokenKind::RBrace)) {
       if (peek().kind == TokenKind::EndOfFile) fail("unterminated gate body", peek());
       def.body.push_back(parse_body_op(param_index, qarg_index));
+      const auto& op = def.body.back();
+      def.expanded_size = saturating_add(
+          def.expanded_size, op.barrier ? 1 : signature_of(state_, op.callee)->num_gates);
     }
     state_.gate_defs.emplace(name.text, std::move(def));
   }
@@ -555,6 +573,7 @@ class Parser {
                  std::to_string(cit->second) + "])",
              q.name);
       }
+      reserve_gates(static_cast<std::uint64_t>(qr.size), 1, q.name);
       for (int i = 0; i < qr.size; ++i) emit(qr.offset + i, i);
       return;
     }
@@ -576,6 +595,7 @@ class Parser {
     if (q.index >= 0) {
       emit(qr.offset + q.index);
     } else {
+      reserve_gates(static_cast<std::uint64_t>(qr.size), 1, q.name);
       for (int i = 0; i < qr.size; ++i) emit(qr.offset + i);  // broadcast
     }
   }
@@ -633,6 +653,7 @@ class Parser {
     }
 
     const int repetitions = broadcast == -1 ? 1 : broadcast;
+    reserve_gates(static_cast<std::uint64_t>(repetitions), sig->num_gates, mnemonic);
     for (int rep = 0; rep < repetitions; ++rep) {
       std::vector<int> qubits;
       qubits.reserve(operands.size());
@@ -648,6 +669,16 @@ class Parser {
         }
       }
       emit_call(mnemonic.text, params, qubits, cond, /*depth=*/0, mnemonic);
+    }
+  }
+
+  /// Rejects, at `site`, a statement that would emit `repetitions` × `size`
+  /// gates and so take the gate stream past ParseOptions::max_gates.
+  void reserve_gates(std::uint64_t repetitions, std::uint64_t size, const Token& site) {
+    const std::uint64_t cap = state_.options->max_gates;
+    const std::uint64_t used = state_.gates.size();
+    if (used > cap || (size > 0 && repetitions > (cap - used) / size)) {
+      fail("gate expansion exceeds ParseOptions::max_gates (" + std::to_string(cap) + ")", site);
     }
   }
 

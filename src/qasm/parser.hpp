@@ -38,6 +38,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -61,6 +62,12 @@ struct ParseOptions {
   /// cycles are already impossible (gates must be defined before use); this
   /// guards against pathological definition chains.
   int max_expansion_depth = 64;
+  /// Maximum number of gates one source may expand to, counting every
+  /// register broadcast and custom-gate body. A statement that would pass
+  /// it is rejected before any of its gates is emitted, so a tiny source
+  /// (a 2e9-qubit broadcast, or a chain of gates each applying the previous
+  /// one twice) fails fast instead of exhausting memory.
+  std::size_t max_gates = std::size_t{1} << 22;
 };
 
 /// Error raised on syntactically or semantically invalid input. Carries the

@@ -5,8 +5,9 @@
 /// "set F to a fixed value and approach towards the minimum, e.g., by
 /// applying a binary search"). A first solve yields a model and an upper
 /// bound; each probe at mid then asks for a model of cost <= mid. The
-/// weighted bound (Eq. 5: 7·swaps(π) per y, 4 per z) is enforced with a
-/// generalized totalizer (GTE): a tree over the weighted cost literals
+/// weighted bound (Eq. 5: 7 per true rung of each permutation point's
+/// swap-count ladder, see exact/encoder.hpp, and 4 per z) is enforced with
+/// a generalized totalizer (GTE): a tree over the weighted cost literals
 /// whose root carries one "sum >= w" indicator per attainable weight w,
 /// clamped one above the first bound enforced (an external bound or the
 /// first model's cost). A probe asserts the *assumption* ¬(sum >= B') for

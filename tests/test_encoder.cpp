@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
 #include <stdexcept>
 
 #include "arch/architectures.hpp"
@@ -133,6 +137,90 @@ TEST_P(EncoderTest, DecodedLayoutsAreInjective) {
 
 INSTANTIATE_TEST_SUITE_P(BothEngines, EncoderTest,
                          ::testing::Values(EngineKind::Z3, EngineKind::Cdcl));
+
+/// Records the formula an Encoding emits instead of solving it, so a test
+/// can inspect its clauses and cost terms directly.
+class FormulaRecorder final : public reason::ReasoningEngine {
+ public:
+  int new_bool() override { return num_vars++; }
+  void add_clause(const std::vector<int>& lits) override { clauses.push_back(lits); }
+  void add_cost(int var, long long weight) override { costs.emplace_back(var, weight); }
+  reason::Outcome minimize(std::chrono::milliseconds /*budget*/) override {
+    throw std::logic_error("FormulaRecorder cannot solve");
+  }
+  [[nodiscard]] bool value(int /*var*/) const override {
+    throw std::logic_error("FormulaRecorder has no model");
+  }
+  [[nodiscard]] std::string name() const override { return "recorder"; }
+
+  int num_vars = 0;
+  std::vector<std::vector<int>> clauses;
+  std::vector<std::pair<int, long long>> costs;
+};
+
+TEST(Encoder, SwapLadderCountsExactlySwapsOfTheChosenPermutation) {
+  // Eq. (5) at a point is a unary ladder of swap-cost rungs over the y's.
+  // Forcing one π must leave exactly one rung assignment that satisfies
+  // the clauses linking y's and rungs, with swaps(π) rungs true. A ladder
+  // linked one way only (y → rung) also admits extra true rungs, so its
+  // objective could exceed Eq. (5).
+  const auto cm = arch::ibm_qx4();
+  const arch::SwapCostTable table(cm);
+  const std::vector<Gate> cnots{Gate::cnot(0, 1), Gate::cnot(1, 2)};
+  const auto prefix = Encoding::build_prefix(cnots, 3, cm.num_physical(), {1});
+  FormulaRecorder rec;
+  const Encoding enc(rec, prefix, cm, table, qx_costs(), /*engine_holds_prefix=*/false);
+  EXPECT_EQ(enc.num_variables(), static_cast<std::size_t>(rec.num_vars));
+  EXPECT_EQ(enc.num_clauses(), rec.clauses.size());
+
+  // Roles: 1 = y at the point, 2 = rung (a swap-cost term), 0 = other.
+  std::vector<int> role(static_cast<std::size_t>(rec.num_vars), 0);
+  for (const int y : prefix.y[0]) role[static_cast<std::size_t>(y)] = 1;
+  std::vector<int> rungs;
+  for (const auto& [var, weight] : rec.costs) {
+    if (weight == qx_costs().swap_cost) {
+      rungs.push_back(var);
+      role[static_cast<std::size_t>(var)] = 2;
+    }
+  }
+  ASSERT_EQ(static_cast<int>(rungs.size()), table.max_swaps());
+  ASSERT_LE(rungs.size(), 16u);
+  // The clauses over y's and rungs that mention a rung.
+  std::vector<std::vector<int>> ladder;
+  for (const auto& clause : rec.clauses) {
+    bool on_ladder = true;
+    bool has_rung = false;
+    for (const int l : clause) {
+      const int r = role[static_cast<std::size_t>(std::abs(l) - 1)];
+      on_ladder = on_ladder && r != 0;
+      has_rung = has_rung || r == 2;
+    }
+    if (on_ladder && has_rung) ladder.push_back(clause);
+  }
+
+  std::vector<bool> value(static_cast<std::size_t>(rec.num_vars), false);
+  for (std::size_t q = 0; q < prefix.perms.size(); ++q) {
+    for (std::size_t i = 0; i < prefix.y[0].size(); ++i) {
+      value[static_cast<std::size_t>(prefix.y[0][i])] = (i == q);
+    }
+    const int want = table.swaps(prefix.perms[q]);
+    int models = 0;
+    for (std::uint32_t mask = 0; mask < (1u << rungs.size()); ++mask) {
+      for (std::size_t s = 0; s < rungs.size(); ++s) {
+        value[static_cast<std::size_t>(rungs[s])] = ((mask >> s) & 1u) != 0;
+      }
+      const bool sat = std::all_of(ladder.begin(), ladder.end(), [&](const auto& clause) {
+        return std::any_of(clause.begin(), clause.end(), [&](int l) {
+          return value[static_cast<std::size_t>(std::abs(l) - 1)] == (l > 0);
+        });
+      });
+      if (!sat) continue;
+      ++models;
+      EXPECT_EQ(std::popcount(mask), want) << "permutation " << q;
+    }
+    EXPECT_EQ(models, 1) << "permutation " << q << " with swaps " << want;
+  }
+}
 
 TEST(Encoder, ValidationErrors) {
   const auto cm = arch::ibm_qx4();

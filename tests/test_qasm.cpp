@@ -399,6 +399,33 @@ TEST(QasmParser, ExpansionDepthLimit) {
       5, 1, "max_expansion_depth", options);
 }
 
+TEST(QasmParser, ExpandedGateCountIsCapped) {
+  // Each rejection comes before the statement emits anything, so neither
+  // input allocates its 2e9 or 2^40 gates.
+  expect_parse_error("qreg q[2000000000]; h q;", 1, 21, "max_gates");
+  std::string chain = "gate g0 a { x a; }\n";
+  for (int i = 1; i <= 40; ++i) {
+    chain += "gate g" + std::to_string(i) + " a { g" + std::to_string(i - 1) + " a; g" +
+             std::to_string(i - 1) + " a; }\n";
+  }
+  chain += "qreg q[1];\ng40 q[0];";
+  expect_parse_error(chain, 43, 1, "max_gates");
+
+  // The cap counts every emitted gate: broadcasts, custom bodies, CCX's 15
+  // gates, measures, resets and barriers.
+  qasm::ParseOptions options;
+  options.max_gates = 4;
+  EXPECT_EQ(qasm::parse("qreg q[4]; h q;", {}, options).size(), 4u);
+  expect_parse_error("qreg q[5]; h q;", 1, 12, "max_gates (4)", options);
+  expect_parse_error("qreg q[3]; gate g a { x a; y a; } g q[0]; g q[1]; g q[2];", 1, 51,
+                     "max_gates", options);
+  expect_parse_error("qreg q[3]; ccx q[0], q[1], q[2];", 1, 12, "max_gates", options);
+  expect_parse_error("qreg q[3]; creg c[3]; h q[0]; h q[1]; measure q -> c;", 1, 47,
+                     "max_gates", options);
+  expect_parse_error("qreg q[3]; h q[0]; h q[1]; reset q;", 1, 34, "max_gates", options);
+  expect_parse_error("qreg q[1]; h q; h q; h q; h q; barrier q;", 1, 32, "max_gates", options);
+}
+
 // -- diagnostics: every rejection path asserts line, column and message -----
 
 TEST(QasmParser, DiagnosticsCarryLocationAndExcerpt) {

@@ -211,7 +211,7 @@ TEST(RoutingGolden, ExactFullArchitectureWithWarmStart) {
   const auto res = exact::map_exact(qx4_five_qubit(), arch::ibm_qx4(), exact_options());
   ASSERT_EQ(res.status, reason::Status::Optimal);
   expect_pin(res,
-             Pin{"c5:203f3b88de931cb9", 1, 2,
+             Pin{"c5:efffd4b5a2a9ac03", 1, 2,
                  {3, 0, 1, 4, 2},
                  {3, 2, 1, 4, 0}});
 }

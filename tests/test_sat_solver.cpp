@@ -367,13 +367,13 @@ TEST(SatSolver, Table1RowSearchCountersArePinned) {
   ASSERT_EQ(out.status, reason::Status::Optimal);
   EXPECT_EQ(out.cost, 33);
   sat::SolverStats want;
-  want.conflicts = 6018;
-  want.decisions = 34879;
-  want.propagations = 4517992;
-  want.learned = 6018;
-  want.lbd_sum = 178428;
-  want.restarts = 33;
-  want.learnt_deleted = 2256;
+  want.conflicts = 3720;
+  want.decisions = 24949;
+  want.propagations = 1877100;
+  want.learned = 3720;
+  want.lbd_sum = 90880;
+  want.restarts = 30;
+  want.learnt_deleted = 771;
   expect_counters(engine.solver_stats(), want);
 }
 
