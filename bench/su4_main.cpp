@@ -176,7 +176,8 @@ int run_smoke(const Args& args) {
           << "  \"arch\": \"" << cm.name() << "\",\n"
           << "  \"layers\": " << args.layers << ",\n"
           << "  \"seed\": " << args.seed << ",\n";
-      bench::write_meta_json(out, args.budget_ms);
+      // The heuristics run on the calling thread only.
+      bench::write_meta_json(out, /*threads=*/1, args.budget_ms);
       out << ",\n  \"rows\": [\n";
       for (std::size_t i = 0; i < json_rows.size(); ++i) {
         const auto& r = json_rows[i];

@@ -49,6 +49,11 @@ namespace {
 
 using namespace qxmap;
 
+/// Every exact cell runs at one thread, the baseline's documented setting:
+/// a row's subset instances solve one after another whatever the core
+/// count, so wall times and the proven set compare across machines.
+constexpr int kThreads = 1;
+
 struct Config {
   long long budget_ms = 5000;
   // The paper used Z3 (--engine z3); the library's own CDCL backend proved
@@ -179,6 +184,7 @@ int main(int argc, char** argv) {
 
     exact::ExactOptions base;
     base.engine = cfg.engine;
+    base.num_threads = kThreads;
     base.budget = std::chrono::milliseconds(cfg.budget_ms);
 
     Cell min_cell;
@@ -243,7 +249,7 @@ int main(int argc, char** argv) {
         << "  \"budget_ms\": " << cfg.budget_ms << ",\n";
     // Informational environment header; top-level fields above stay first
     // so bench_sat_smoke's first-occurrence scanner keeps finding them.
-    bench::write_meta_json(out, cfg.budget_ms);
+    bench::write_meta_json(out, kThreads, cfg.budget_ms);
     out << ",\n"
         << "  \"rows\": [\n";
     for (std::size_t i = 0; i < json_rows.size(); ++i) {

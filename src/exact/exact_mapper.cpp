@@ -116,32 +116,12 @@ std::size_t resolve_num_threads(int requested, std::size_t num_instances) {
   return std::min(threads, num_instances);
 }
 
-/// Hardness proxy per instance for the hardest-first pop order: the
-/// undirected edge count of the induced coupling subgraph. Sparse subsets
-/// need more SWAPs, so their search runs longest; starting them
-/// while the shared Eq. (5) bound is still loose maximises how much of
-/// that work later bounds can abort, while dense subsets finish quickly
-/// anywhere and publish tight bounds early. The ShardExecutor queue orders
-/// tasks by (priority, request, index), so within one request equal-edge
-/// instances keep subset-index order — exactly the old stable sort.
-std::vector<long long> instance_hardness(const arch::CouplingMap& cm,
-                                         const std::vector<std::vector<int>>& instances) {
-  std::vector<long long> edges(instances.size(), 0);
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    const auto& subset = instances[i];
-    for (std::size_t a = 0; a < subset.size(); ++a) {
-      for (std::size_t b = a + 1; b < subset.size(); ++b) {
-        if (cm.coupled(subset[a], subset[b])) ++edges[i];
-      }
-    }
-  }
-  return edges;
-}
-
-void count_instances(std::size_t popped) {
+/// Counts one instance whose solve ran to a verdict; zero-cost skips and
+/// the no-op tasks after a failure do not count.
+void count_solved_instance() {
   static obs::Counter& instances_total = obs::MetricsRegistry::instance().counter(
       "qxmap_exact_instances_solved_total", "Subset-instance shard tasks run to a verdict");
-  instances_total.inc(static_cast<std::uint64_t>(popped));
+  instances_total.inc();
 }
 
 /// The tail every solved request shares: the full statevector check on
@@ -170,9 +150,9 @@ MappingResult close_result(MappingResult res, const Circuit& circuit, const arch
 /// instance on the shared executor, the lowest-(cost, index) reduction, and
 /// reconstruction through the Router. Each instance is a pure function of
 /// its inputs and the search has no bound to share, so this branch needs no
-/// warm start, shared prefix, live bound, budget split or canonical
-/// re-solve: results are bit-identical at any thread count as long as no
-/// instance reaches the deadline (docs/concurrency.md).
+/// warm start, shared prefix, live bound or canonical re-solve: results are
+/// bit-identical at any thread count as long as no instance reaches the
+/// deadline (docs/concurrency.md).
 MappingResult map_with_dp(const Circuit& circuit, const arch::CouplingMap& cm,
                           const ExactOptions& options, const CostModel& costs,
                           const std::vector<Gate>& cnots, const std::vector<std::size_t>& points,
@@ -181,12 +161,10 @@ MappingResult map_with_dp(const Circuit& circuit, const arch::CouplingMap& cm,
   constexpr long long kNoIndex = std::numeric_limits<long long>::max();
   const auto deadline = start + options.budget;
   std::vector<LayoutRoute> routes(instances.size());
-  std::atomic<std::size_t> popped{0};
   // Lowest index proving cost 0: later instances can at best tie and lose
   // the index tie-break, so they are skipped.
   std::atomic<long long> zero_index{kNoIndex};
   const auto solve_instance = [&](std::size_t i) {
-    popped.fetch_add(1, std::memory_order_relaxed);
     if (static_cast<long long>(i) > zero_index.load(std::memory_order_acquire)) return;
     {
       obs::Span span("exact.solve", "exact");
@@ -196,6 +174,7 @@ MappingResult map_with_dp(const Circuit& circuit, const arch::CouplingMap& cm,
                                  costs, deadline);
       span.attr("status", reason::to_string(routes[i].status));
     }
+    count_solved_instance();
     if (routes[i].status == reason::Status::Optimal && routes[i].cost == 0) {
       long long zi = zero_index.load(std::memory_order_acquire);
       const auto me = static_cast<long long>(i);
@@ -204,10 +183,8 @@ MappingResult map_with_dp(const Circuit& circuit, const arch::CouplingMap& cm,
     }
   };
   ShardExecutor& executor = ShardExecutor::instance();
-  executor.run_to_completion(
-      executor.submit(solve_instance, std::vector<long long>(instances.size(), 0),
-                      resolve_num_threads(options.num_threads, instances.size())));
-  count_instances(popped.load(std::memory_order_relaxed));
+  executor.run_to_completion(executor.submit(
+      solve_instance, instances.size(), resolve_num_threads(options.num_threads, instances.size())));
 
   // Deterministic reduction, as in the SAT branch: truncate after the first
   // zero-cost instance, then keep the lowest cost, ties to the lowest index.
@@ -328,29 +305,23 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
                        start);
   }
 
-  // Budget: one shared deadline for the whole instance sweep. Each shard
-  // grants its next instance an equal share of the time still left (divided
-  // by the number of instance "rounds" remaining across the pool), so time
-  // unused by easy, skipped or Unsat instances flows to the hard ones
-  // instead of expiring with them. `nominal_share` — the old fixed split —
-  // caps the canonical re-solve after the reduction.
+  // Budget: one shared deadline for the whole instance sweep; each solve
+  // gets the time left to it.
   const auto overall_deadline = start + options.budget;
-  const auto nominal_share = std::chrono::milliseconds(
-      std::max<long long>(1, options.budget.count() / static_cast<long long>(instances.size())));
 
   // --- Shard the subset instances through the process-wide executor ------
   //
-  // The full protocol — shard lifecycle, shared-bound memory ordering, the
-  // hardest-first pop order, and the determinism argument — is specified in
-  // docs/concurrency.md; the comments here are the short version.
+  // The full protocol — shard lifecycle, shared-bound memory ordering and
+  // the determinism argument — is specified in docs/concurrency.md; the
+  // comments here are the short version.
   //
   // Each instance becomes one task on the shared ShardExecutor (so shards
   // of concurrent map() calls interleave through a single pool instead of
   // one pool per call); `options.num_threads` survives as this request's
-  // concurrency cap. Tasks pop hardest-first (instance_hardness; ties in
-  // subset-index order). Each executing thread owns its
-  // engine (the CDCL solver is not thread-safe), scoped to *this request*
-  // so the bound-source closures below never outlive the atomics they read.
+  // concurrency cap. Tasks pop in subset-index order. Each executing thread
+  // owns its engine (the CDCL solver is not thread-safe), scoped to *this
+  // request* so the bound-source closures below never outlive the atomics
+  // they read.
   // A shared atomic bound carries the best model cost found so far: shards
   // start their Eq. (5) search with objective <= bound enforced, and keep
   // polling it at engine checkpoints *mid-solve*, aborting branches that
@@ -367,10 +338,6 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   // and lose the index tie-break. Lower indices still run, preserving the
   // tie-break winner.
   constexpr long long kNoBound = std::numeric_limits<long long>::max();
-  // A lone instance keeps priority 0: the front of the shared queue, ahead
-  // of other requests' subset batches.
-  const std::vector<long long> priorities =
-      instances.size() > 1 ? instance_hardness(cm, instances) : std::vector<long long>{0};
 
   // Warm start: with a single instance under the All strategy, the symbolic
   // formulation can express every swap schedule, so the greedy route's cost
@@ -399,9 +366,6 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
     prefix.emplace(Encoding::build_prefix(cnots, n, n, points));
   }
 
-  const std::size_t num_threads = resolve_num_threads(options.num_threads, instances.size());
-
-  std::atomic<std::size_t> started{0};
   std::atomic<long long> shared_bound{warm_cost};
   std::atomic<long long> zero_index{kNoBound};  // lowest index proving cost 0
   std::atomic<bool> failed{false};
@@ -418,9 +382,6 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   std::unordered_map<std::thread::id, std::unique_ptr<reason::ReasoningEngine>> slots;
 
   const auto solve_instance = [&](std::size_t i) {
-    // Every pop counts toward `started` (skips included) so budget shares
-    // track the queue position exactly like the old shared-counter pops.
-    const std::size_t pos = started.fetch_add(1, std::memory_order_relaxed);
     if (failed.load(std::memory_order_acquire)) return;
     if (static_cast<long long>(i) > zero_index.load(std::memory_order_acquire)) return;
     obs::Span shard_span("exact.shard", "exact");
@@ -460,21 +421,17 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
           return shared_bound.load(std::memory_order_acquire);
         });
       }
-      // This instance's share of the remaining budget: the time left to
-      // the shared deadline, divided by the rounds of instances this
-      // request still has to absorb (this one included).
-      const std::size_t rounds = (instances.size() - pos + num_threads - 1) / num_threads;
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          overall_deadline - Clock::now());
-      const auto share = std::chrono::milliseconds(
-          std::max<long long>(1, left.count() / static_cast<long long>(rounds)));
+      const auto left = std::max(std::chrono::milliseconds(1),
+                                 std::chrono::duration_cast<std::chrono::milliseconds>(
+                                     overall_deadline - Clock::now()));
       reason::Outcome outcome;
       {
         obs::Span span("exact.solve", "exact");
-        span.attr("budget_ms", static_cast<long long>(share.count()));
-        outcome = engine.minimize(share);
+        span.attr("budget_ms", static_cast<long long>(left.count()));
+        outcome = engine.minimize(left);
         span.attr("status", reason::to_string(outcome.status));
       }
+      count_solved_instance();
       out.status = outcome.status;
       if (outcome.status != reason::Status::Optimal &&
           outcome.status != reason::Status::Feasible) {
@@ -504,9 +461,9 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   };
 
   ShardExecutor& executor = ShardExecutor::instance();
-  executor.run_to_completion(executor.submit(solve_instance, priorities, num_threads));
+  executor.run_to_completion(executor.submit(
+      solve_instance, instances.size(), resolve_num_threads(options.num_threads, instances.size())));
   if (worker_error) std::rethrow_exception(worker_error);
-  count_instances(started.load(std::memory_order_relaxed));
 
   // --- Deterministic reduction -------------------------------------------
   // Truncate at the first zero-cost subset (everything after it was either
@@ -561,7 +518,8 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   // the winner is therefore re-solved once under the canonical bound C* —
   // fully determined by the inputs — so the emitted layouts are
   // bit-identical at every thread count. The bounded re-solve is cheap: a
-  // model of cost C* is known to exist and nothing below it does.
+  // model of cost C* is known to exist and nothing below it does. Its
+  // allowance, `budget / instances`, depends only on the inputs.
   if (instances.size() > 1) {
     obs::Span span("exact.canonical_resolve", "exact");
     const long long canonical = best->solution.cost_f;
@@ -570,7 +528,8 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
     auto engine = reason::make_engine(options.engine);
     const Encoding enc(*engine, cnots, n, induced, *best->table, points, costs);
     engine->set_upper_bound(canonical);
-    const reason::Outcome outcome = engine->minimize(nominal_share);
+    const reason::Outcome outcome = engine->minimize(std::chrono::milliseconds(
+        std::max<long long>(1, options.budget.count() / static_cast<long long>(instances.size()))));
     if (outcome.status == reason::Status::Optimal ||
         outcome.status == reason::Status::Feasible) {
       Encoding::Solution sol = enc.decode();

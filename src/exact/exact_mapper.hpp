@@ -14,8 +14,8 @@
 ///     any thread count; protocol spec in docs/concurrency.md):
 ///     - Dp (the default): the layout DP of exact/reference_search.hpp
 ///       returns an optimal route per instance;
-///     - Cdcl / Z3: each shard owns its reasoning engine and pops from a
-///       hardest-first queue, a shared atomic bound feeds every shard's
+///     - Cdcl / Z3: each shard owns its reasoning engine, instances pop in
+///       subset-index order, a shared atomic bound feeds every shard's
 ///       Eq. (5) upper bound at solve start and mid-solve, and the winner
 ///       is re-solved canonically; swaps(π) tables come from the
 ///       process-wide arch::SwapCostCache;

@@ -119,15 +119,15 @@ ShardExecutor& ShardExecutor::instance() {
   return executor;
 }
 
-std::shared_ptr<ShardExecutor::Request> ShardExecutor::submit(
-    TaskFn fn, const std::vector<long long>& priorities, std::size_t max_concurrency) {
-  if (priorities.empty()) {
+std::shared_ptr<ShardExecutor::Request> ShardExecutor::submit(TaskFn fn, std::size_t num_tasks,
+                                                              std::size_t max_concurrency) {
+  if (num_tasks == 0) {
     throw std::invalid_argument("ShardExecutor::submit: empty task batch");
   }
   auto request = std::make_shared<Request>();
   request->fn = std::move(fn);
-  request->cap = std::clamp<std::size_t>(max_concurrency, 1, priorities.size());
-  request->remaining = priorities.size();
+  request->cap = std::clamp<std::size_t>(max_concurrency, 1, num_tasks);
+  request->remaining = num_tasks;
   request->submitter = std::this_thread::get_id();
   ExecutorMetrics& metrics = ExecutorMetrics::get();
   const std::uint64_t enqueue_ns = steady_ns();
@@ -137,11 +137,11 @@ std::shared_ptr<ShardExecutor::Request> ShardExecutor::submit(
       throw std::runtime_error("ShardExecutor::submit: executor is shutting down");
     }
     request->seq = next_seq_++;
-    for (std::size_t i = 0; i < priorities.size(); ++i) {
-      queue_.insert(QueuedTask{priorities[i], request->seq, i, enqueue_ns, request});
+    for (std::size_t i = 0; i < num_tasks; ++i) {
+      queue_.push_back(QueuedTask{i, enqueue_ns, request});
     }
     metrics.requests.inc();
-    metrics.tasks_submitted.inc(priorities.size());
+    metrics.tasks_submitted.inc(num_tasks);
     metrics.queue_depth.set(static_cast<long long>(queue_.size()));
     metrics.queue_depth_high_water.set_max(static_cast<long long>(queue_.size()));
     // Honour the cap even on fewer cores (the old per-call pools simply
@@ -247,7 +247,6 @@ void ShardExecutor::run_one(Queue::iterator it, std::unique_lock<std::mutex>& lo
     if (span.active()) {
       span.attr("request", static_cast<unsigned long long>(task.request->seq));
       span.attr("index", task.index);
-      span.attr("priority", static_cast<long long>(task.priority));
       if (std::this_thread::get_id() != task.request->submitter) {
         obs::Span::instant("executor.steal", "executor");
       }

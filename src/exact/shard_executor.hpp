@@ -5,11 +5,9 @@
 /// traffic (many concurrent `map()` calls, api/service.hpp) that
 /// oversubscribes the machine with one pool per request and lets no
 /// request's scheduling see another's. This executor replaces the per-call
-/// pools with **one** shared pool: every request submits its instance
-/// tasks with per-task priorities, and all requests' shards interleave
-/// through a single hardest-first queue (a `std::multiset` ordered by
-/// (priority, request, index) — the same ordering the per-call scheduler
-/// used, now global).
+/// pools with **one** shared pool: every request submits a batch of
+/// indexed tasks, and all requests' shards interleave through a single
+/// FIFO queue in (request, index) order.
 ///
 /// Contracts:
 ///  * **Per-request cap.** A request's `max_concurrency` bounds how many of
@@ -41,18 +39,18 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <thread>
 #include <vector>
 
 namespace qxmap::exact {
 
-/// Shared worker pool with a priority-ordered task queue. All operations
-/// are thread-safe; see the file comment for the contracts.
+/// Shared worker pool with a FIFO task queue. All operations are
+/// thread-safe; see the file comment for the contracts.
 class ShardExecutor {
  public:
   /// One unit of work; receives the task index passed at submit time.
@@ -66,7 +64,7 @@ class ShardExecutor {
     std::size_t cap = 1;        // max tasks of this request in flight
     std::size_t remaining = 0;  // tasks not yet finished
     std::size_t in_flight = 0;  // tasks currently executing
-    std::uint64_t seq = 0;      // submission order (queue tie-break)
+    std::uint64_t seq = 0;      // submission order; trace-only request id
     std::thread::id submitter;  // trace-only: flags steals (other-thread runs)
     std::exception_ptr error;   // first task exception, if any
   };
@@ -88,14 +86,12 @@ class ShardExecutor {
   /// hardware concurrency.
   [[nodiscard]] static ShardExecutor& instance();
 
-  /// Enqueues `priorities.size()` tasks; task i runs `fn(i)` exactly once.
-  /// Lower priority values pop first (map_exact passes induced-subgraph
-  /// edge counts, so sparse = hard instances lead; ties run in submission
-  /// then index order). `max_concurrency` is clamped to [1, task count].
+  /// Enqueues `num_tasks` tasks; task i runs `fn(i)` exactly once. Tasks
+  /// pop in submission order, then index order. `max_concurrency` is
+  /// clamped to [1, num_tasks].
   /// \throws std::invalid_argument on an empty batch, std::runtime_error
   /// after shutdown began.
-  [[nodiscard]] std::shared_ptr<Request> submit(TaskFn fn,
-                                                const std::vector<long long>& priorities,
+  [[nodiscard]] std::shared_ptr<Request> submit(TaskFn fn, std::size_t num_tasks,
                                                 std::size_t max_concurrency);
 
   /// Runs queued tasks of `request` on the calling thread (counting toward
@@ -114,20 +110,11 @@ class ShardExecutor {
 
  private:
   struct QueuedTask {
-    long long priority;
-    std::uint64_t seq;
     std::size_t index;
     std::uint64_t enqueue_ns;  // steady-clock stamp; feeds the queue-wait histogram
     std::shared_ptr<Request> request;
   };
-  struct TaskOrder {
-    bool operator()(const QueuedTask& a, const QueuedTask& b) const noexcept {
-      if (a.priority != b.priority) return a.priority < b.priority;
-      if (a.seq != b.seq) return a.seq < b.seq;
-      return a.index < b.index;
-    }
-  };
-  using Queue = std::multiset<QueuedTask, TaskOrder>;
+  using Queue = std::deque<QueuedTask>;
 
   void worker_loop();
   /// First queued task whose request is under its cap (restricted to `only`

@@ -103,13 +103,11 @@ struct ExactOptions {
   /// expire mid-search. See docs/concurrency.md.
   int num_threads = 0;
   /// Total solver budget, shared across subset instances as one deadline.
-  /// Dp instances all run against that deadline (checked once per gate; an
-  /// instance that reaches it reports Unknown). Under a SAT engine each
-  /// shard grants its next instance an equal share of the time *left*,
-  /// so slack from instances that finish early (or are skipped) flows to
-  /// the hard ones instead of expiring unused. The canonical re-derivation
-  /// of the winning instance (which keeps results thread-count invariant)
-  /// may spend up to one nominal per-instance share on top of this total.
+  /// Every instance runs against that deadline: a Dp search checks it once
+  /// per gate and reports Unknown when it passes; a SAT solve gets the time
+  /// left to it. The canonical re-derivation of the winning instance (which
+  /// keeps results thread-count invariant) may spend up to `budget /
+  /// instances` on top of this total.
   /// Budget expiry is outside the bit-identical guarantee either way (see
   /// docs/concurrency.md).
   std::chrono::milliseconds budget{10000};

@@ -1,7 +1,7 @@
 /// Determinism/concurrency harness for the parallel exact mapper: thread-
 /// count invariance of the subset shard-and-reduce, the shared-bound early
 /// termination, the zero-cost short-circuit, oversubscription (more threads
-/// than subsets), the work-stealing pop order, and engine-cooperative
+/// than subsets), the solve counter, and engine-cooperative
 /// mid-solve bound tightening (docs/concurrency.md).
 
 #include <gtest/gtest.h>
@@ -123,6 +123,22 @@ TEST_P(ExactParallelTest, ParallelismAppliesOnlyWithMultipleInstances) {
   ASSERT_EQ(serial.status, Status::Optimal);
   EXPECT_EQ(serial.instances_solved, 1);
   expect_identical(serial, parallel, "single-instance mode");
+}
+
+TEST(InstanceCounter, CountsOnlySolvesThatRan) {
+  // ex-1_166 embeds at cost 0 on the first of QX4's six connected
+  // 3-subsets, so at one thread the zero-cost skip turns the other five
+  // pops into no-ops: one solve ran, and the counter says one.
+  const Circuit c = bench::table1_benchmark("ex-1_166").build();
+  ASSERT_EQ(arch::connected_subsets(arch::ibm_qx4(), c.num_qubits()).size(), 6u);
+  for (const EngineKind kind : {EngineKind::Cdcl, EngineKind::Dp}) {
+    const CounterDelta solved("qxmap_exact_instances_solved_total");
+    const auto res = map_exact(c, arch::ibm_qx4(), subset_options(kind, 1));
+    ASSERT_EQ(res.status, Status::Optimal) << reason::to_string(kind);
+    EXPECT_EQ(res.instances_solved, 1) << reason::to_string(kind);
+    EXPECT_EQ(solved(), static_cast<std::uint64_t>(res.instances_solved))
+        << reason::to_string(kind);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(BothEngines, ExactParallelTest,
@@ -414,10 +430,10 @@ namespace steal {
 /// 6 physical qubits: a 2-qubit tail hanging off a 4-cycle (all couplings
 /// bidirected). The five sparse connected 4-subsets (3 edges each) need
 /// SWAPs for the cycle workload below and solve slowly; the 4-cycle subset
-/// {2,3,4,5} hosts it at cost 0 and solves fast. Under the hardest-first
-/// steal order the sparse subsets are popped first, so the cycle subset's
-/// cost-0 bound lands while they are mid-solve — the in-flight abort this
-/// suite pins down.
+/// {2,3,4,5} hosts it at cost 0 and solves fast. It is the last subset in
+/// index order, so with a worker per subset the sparse shards are already
+/// solving when its cost-0 bound lands — the in-flight abort this suite
+/// pins down.
 arch::CouplingMap tail_cycle6() {
   std::vector<std::pair<int, int>> edges;
   const auto bidirected = [&edges](int a, int b) {
@@ -494,7 +510,7 @@ TEST(MidSolveTightening, SerialRunNeverTightensMidSolve) {
 }
 
 TEST(MidSolveTightening, ThreadCountDoesNotChangeResults) {
-  // Hardest-first pops and mid-solve bounds change wall time, never
+  // The interleaving of pops and mid-solve bounds changes wall time, never
   // results: 1, 2 and 6 threads must be bit-identical.
   const auto cm = steal::tail_cycle6();
   const Circuit c = steal::cycle_workload(2);

@@ -11,7 +11,9 @@
 #include "bench_circuits/table1_suite.hpp"
 #include "common/rng.hpp"
 #include "exact/encoder.hpp"
+#include "exact/exact_mapper.hpp"
 #include "exact/strategies.hpp"
+#include "metric_delta.hpp"
 #include "reason/cdcl_engine.hpp"
 
 namespace qxmap {
@@ -375,6 +377,27 @@ TEST(SatSolver, Table1RowSearchCountersArePinned) {
   want.restarts = 30;
   want.learnt_deleted = 771;
   expect_counters(engine.solver_stats(), want);
+}
+
+TEST(SatSolver, Table1MultiSubsetScheduleIsPinned) {
+  // One multi-subset Table-1 row through map_exact at one thread: 3_17_13's
+  // six QX4 3-subset instances pop in subset-index order, each starting
+  // from the bound its predecessors published, and the winner is re-solved
+  // under its cost. The conflicts summed over every solve fingerprint that
+  // schedule as well as the search.
+  const Circuit circuit = bench::table1_benchmark("3_17_13").build();
+  exact::ExactOptions opt;
+  opt.engine = reason::EngineKind::Cdcl;
+  opt.use_subsets = true;
+  opt.num_threads = 1;
+  opt.budget = std::chrono::milliseconds(600000);
+  const testutil::CounterDelta conflicts("qxmap_cdcl_conflicts_total");
+  const auto res = exact::map_exact(circuit, arch::ibm_qx4(), opt);
+  ASSERT_EQ(res.status, reason::Status::Optimal);
+  EXPECT_EQ(res.cost_f, 7);
+  EXPECT_EQ(conflicts(), 168u);
+  EXPECT_EQ(res.initial_layout, (std::vector<int>{1, 2, 0}));
+  EXPECT_EQ(res.final_layout, (std::vector<int>{1, 0, 2}));
 }
 
 TEST(SatSolver, GlucoseRestartsFireOnlyOnAFullLbdWindow) {

@@ -1,5 +1,5 @@
 /// Contract tests for the process-wide shard executor
-/// (exact/shard_executor.hpp): exactly-once execution, priority pop order,
+/// (exact/shard_executor.hpp): exactly-once execution, FIFO pop order,
 /// per-request concurrency caps, caller participation (deadlock freedom
 /// with a zero-worker pool), pool growth to honour explicit caps on small
 /// machines, exception containment, request interleaving, and the
@@ -13,9 +13,9 @@
 #include <condition_variable>
 #include <cstddef>
 #include <mutex>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exact/shard_executor.hpp"
@@ -27,12 +27,6 @@ namespace {
 
 using testutil::CounterDelta;
 
-std::vector<long long> ascending(std::size_t n) {
-  std::vector<long long> p(n);
-  std::iota(p.begin(), p.end(), 0LL);
-  return p;
-}
-
 TEST(ShardExecutor, RunsEveryTaskExactlyOnce) {
   ShardExecutor ex(3);
   const CounterDelta requests("qxmap_executor_requests_total");
@@ -40,7 +34,7 @@ TEST(ShardExecutor, RunsEveryTaskExactlyOnce) {
   const CounterDelta executed("qxmap_executor_tasks_executed_total");
   constexpr std::size_t kTasks = 64;
   std::vector<std::atomic<int>> runs(kTasks);
-  auto req = ex.submit([&](std::size_t i) { ++runs[i]; }, ascending(kTasks), 4);
+  auto req = ex.submit([&](std::size_t i) { ++runs[i]; }, kTasks, 4);
   ex.run_to_completion(req);
   for (std::size_t i = 0; i < kTasks; ++i) {
     EXPECT_EQ(runs[i].load(), 1) << "task " << i;
@@ -50,22 +44,26 @@ TEST(ShardExecutor, RunsEveryTaskExactlyOnce) {
   EXPECT_EQ(executed(), kTasks);
 }
 
-TEST(ShardExecutor, SerialPopOrderFollowsPriorityThenIndex) {
-  // Zero workers + cap 1: every task runs on this thread, strictly in queue
-  // order, so the pop order is directly observable.
-  ShardExecutor ex(0);
-  std::vector<std::size_t> order;
-  auto req = ex.submit([&](std::size_t i) { order.push_back(i); },
-                       {30, 10, 20, 10, 0}, 1);
-  ex.run_to_completion(req);
-  EXPECT_EQ(order, (std::vector<std::size_t>{4, 1, 3, 2, 0}));
+TEST(ShardExecutor, SerialPopOrderIsSubmissionThenIndex) {
+  // Zero workers and nobody inside run_to_completion: the destructor's
+  // drain is the only thread that runs tasks, and it pops strictly from the
+  // front of the queue, so the pop order across requests is observable.
+  std::vector<std::pair<char, std::size_t>> order;
+  {
+    ShardExecutor ex(0);
+    (void)ex.submit([&](std::size_t i) { order.emplace_back('a', i); }, 3, 1);
+    (void)ex.submit([&](std::size_t i) { order.emplace_back('b', i); }, 2, 1);
+  }
+  const std::vector<std::pair<char, std::size_t>> want = {
+      {'a', 0}, {'a', 1}, {'a', 2}, {'b', 0}, {'b', 1}};
+  EXPECT_EQ(order, want);
 }
 
 TEST(ShardExecutor, CallerOnlyPoolCompletesWithoutWorkers) {
   ShardExecutor ex(0);
   EXPECT_EQ(ex.num_threads(), 0u);
   std::atomic<int> ran{0};
-  ex.run_to_completion(ex.submit([&](std::size_t) { ++ran; }, ascending(8), 1));
+  ex.run_to_completion(ex.submit([&](std::size_t) { ++ran; }, 8, 1));
   EXPECT_EQ(ran.load(), 8);
 }
 
@@ -83,7 +81,7 @@ TEST(ShardExecutor, CapBoundsConcurrentTasksOfARequest) {
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
         --running;
       },
-      ascending(12), kCap);
+      12, kCap);
   ex.run_to_completion(req);
   EXPECT_LE(peak.load(), static_cast<int>(kCap));
   EXPECT_GE(peak.load(), 1);
@@ -106,7 +104,7 @@ TEST(ShardExecutor, PoolGrowsToHonourExplicitCap) {
         cv.notify_all();
         cv.wait(lock, [&] { return arrived >= kCap; });
       },
-      ascending(kCap), kCap);
+      kCap, kCap);
   ex.run_to_completion(req);
   EXPECT_EQ(arrived, kCap);
   EXPECT_GE(spawned(), kCap - 1);
@@ -120,7 +118,7 @@ TEST(ShardExecutor, FirstExceptionIsRethrownAfterAllTasksRan) {
         ++ran;
         if (i == 0) throw std::runtime_error("boom");
       },
-      ascending(10), 2);
+      10, 2);
   EXPECT_THROW(ex.run_to_completion(req), std::runtime_error);
   // Exception containment: the failing task does not cancel its siblings
   // (map_exact layers its own early-exit flag on top when it wants that).
@@ -135,9 +133,9 @@ TEST(ShardExecutor, ConcurrentRequestsBothComplete) {
   std::atomic<int> b{0};
   std::thread other([&] {
     ShardExecutor& shared = ex;
-    shared.run_to_completion(shared.submit([&](std::size_t) { ++b; }, ascending(16), 2));
+    shared.run_to_completion(shared.submit([&](std::size_t) { ++b; }, 16, 2));
   });
-  ex.run_to_completion(ex.submit([&](std::size_t) { ++a; }, ascending(16), 2));
+  ex.run_to_completion(ex.submit([&](std::size_t) { ++a; }, 16, 2));
   other.join();
   EXPECT_EQ(a.load(), 16);
   EXPECT_EQ(b.load(), 16);
@@ -147,7 +145,7 @@ TEST(ShardExecutor, ConcurrentRequestsBothComplete) {
 
 TEST(ShardExecutor, EmptyBatchIsRejected) {
   ShardExecutor ex(1);
-  EXPECT_THROW((void)ex.submit([](std::size_t) {}, {}, 1), std::invalid_argument);
+  EXPECT_THROW((void)ex.submit([](std::size_t) {}, 0, 1), std::invalid_argument);
 }
 
 // Regression: shutdown ordering. Destroying the executor with queued,
@@ -161,7 +159,7 @@ TEST(ShardExecutorShutdown, DestructorDrainsQueuedTasks) {
   std::shared_ptr<ShardExecutor::Request> req;
   {
     ShardExecutor ex(2);
-    req = ex.submit([&](std::size_t) { ++ran; }, ascending(20), 2);
+    req = ex.submit([&](std::size_t) { ++ran; }, 20, 2);
     // No run_to_completion: destruction must finish the work.
   }
   EXPECT_EQ(ran.load(), 20);
@@ -171,7 +169,7 @@ TEST(ShardExecutorShutdown, DestructorDrainsOnZeroWorkerPool) {
   std::atomic<int> ran{0};
   {
     ShardExecutor ex(0);
-    (void)ex.submit([&](std::size_t) { ++ran; }, ascending(5), 1);
+    (void)ex.submit([&](std::size_t) { ++ran; }, 5, 1);
   }
   EXPECT_EQ(ran.load(), 5);
 }
@@ -188,7 +186,7 @@ TEST(ShardExecutorShutdown, DestructionReleasesConcurrentWaiters) {
           std::this_thread::sleep_for(std::chrono::milliseconds(5));
           ++ran;
         },
-        ascending(8), 1);
+        8, 1);
     waiter = std::thread([&ex, req] { ex.run_to_completion(req); });
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     // Destructor runs here, concurrently with the waiter.
@@ -204,7 +202,7 @@ TEST(ShardExecutorShutdown, SubmitAfterShutdownBeganIsRefused) {
   ShardExecutor ex(1);
   ex.set_num_threads(0);
   std::atomic<int> ran{0};
-  ex.run_to_completion(ex.submit([&](std::size_t) { ++ran; }, ascending(3), 1));
+  ex.run_to_completion(ex.submit([&](std::size_t) { ++ran; }, 3, 1));
   EXPECT_EQ(ran.load(), 3);
   EXPECT_EQ(ex.num_threads(), 0u);
 }
@@ -214,10 +212,10 @@ TEST(ShardExecutorShutdown, ResizeUpAndDownKeepsExecutingCorrectly) {
   std::atomic<int> ran{0};
   ex.set_num_threads(3);
   EXPECT_EQ(ex.num_threads(), 3u);
-  ex.run_to_completion(ex.submit([&](std::size_t) { ++ran; }, ascending(12), 3));
+  ex.run_to_completion(ex.submit([&](std::size_t) { ++ran; }, 12, 3));
   ex.set_num_threads(1);
   EXPECT_EQ(ex.num_threads(), 1u);
-  ex.run_to_completion(ex.submit([&](std::size_t) { ++ran; }, ascending(12), 2));
+  ex.run_to_completion(ex.submit([&](std::size_t) { ++ran; }, 12, 2));
   EXPECT_EQ(ran.load(), 24);
 }
 
@@ -246,7 +244,7 @@ TEST(ShardExecutor, MetricsCountOneBatch) {
         if (i == 7) throw std::runtime_error("planned failure");
         ++ran;
       },
-      ascending(kTasks), 3);
+      kTasks, 3);
   EXPECT_THROW(ex.run_to_completion(req), std::runtime_error);
   EXPECT_EQ(ran.load(), static_cast<int>(kTasks) - 1);
 
@@ -269,7 +267,7 @@ TEST(ShardExecutorShutdown, ProcessWideInstanceIsUsable) {
   // trip TSan at exit).
   ShardExecutor& ex = ShardExecutor::instance();
   std::atomic<int> ran{0};
-  ex.run_to_completion(ex.submit([&](std::size_t) { ++ran; }, ascending(4), 2));
+  ex.run_to_completion(ex.submit([&](std::size_t) { ++ran; }, 4, 2));
   EXPECT_EQ(ran.load(), 4);
 }
 
