@@ -19,10 +19,11 @@
 ///       Eq. (5) upper bound at solve start and mid-solve, and the winner
 ///       is re-solved canonically; swaps(π) tables come from the
 ///       process-wide arch::SwapCostCache;
-///  4. replay the winner through the Router — the DP route's SWAPs, or the
+///  4. take the winner as a subset-local LayoutRoute — the DP's own, or the
 ///     decoded model's permutations as SWAP chains along coupling edges —
-///     re-attaching the single-qubit gates and H-conjugating
-///     direction-reversed CNOTs (Fig. 3);
+///     and lift it to global qubits through the Router, re-attaching the
+///     single-qubit gates and H-conjugating direction-reversed CNOTs
+///     (Fig. 3);
 ///  5. verify the result (GF(2) skeleton check; statevector equivalence on
 ///     small architectures).
 

@@ -31,18 +31,22 @@
 
 namespace qxmap::exact {
 
-/// An optimal route through the placement graph, or why there is none.
+/// A route through the placement graph, or why there is none. map_exact
+/// reduces and replays this type for every engine: the DP returns it, and
+/// a SAT engine's winning model is converted to it.
 struct LayoutRoute {
-  /// Optimal when a route exists; Unsat when no placement sequence executes
-  /// every gate under the permutation points; Unknown when the deadline
-  /// passed first (the remaining fields are then empty — never a partial
-  /// cost).
+  /// Optimal when a route exists (a SAT model may also be Feasible); Unsat
+  /// when no placement sequence executes every gate under the permutation
+  /// points; Unknown when the deadline passed first (the remaining fields
+  /// are then empty — never a partial cost).
   reason::Status status = reason::Status::Unknown;
-  long long cost = 0;  ///< minimal objective under the resolved weights
+  long long cost = 0;  ///< the route's objective under the resolved weights
   std::vector<int> initial;  ///< placement before gate 0: logical j -> physical qubit
-  /// swaps[k]: the SWAPs (coupled physical pairs, lower qubit first)
-  /// applied right before gate k, in order. swaps[0] is always empty: the
-  /// initial placement is free.
+  /// swaps[k]: the SWAPs (coupled physical pairs) applied right before
+  /// gate k, in order. The DP lists the lower qubit of each pair first; a
+  /// route from a SAT model keeps SwapCostTable::swap_sequence's order,
+  /// which decides how a bidirected SWAP is realised. swaps[0] is always
+  /// empty: the initial placement is free.
   std::vector<std::vector<std::pair<int, int>>> swaps;
 };
 

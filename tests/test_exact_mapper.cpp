@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
+
 #include "arch/architectures.hpp"
 #include "arch/swap_costs.hpp"
 #include "bench_circuits/generators.hpp"
@@ -143,6 +146,36 @@ TEST(ExactMapper, CircuitWithoutCnotsReportsLikeAnyOtherResult) {
     EXPECT_EQ(trivial.engine_name, routed.engine_name);
     EXPECT_GT(trivial.seconds, 0.0);
   }
+}
+
+// QX4 is within deep_verify_max_qubits, so every emitted result carries the
+// statevector check after the GF(2) one; its message on success is the one
+// sim::check_mapped_circuit gives for an equivalent circuit.
+constexpr const char* kStatevectorOk = "equivalent on the embedded subspace";
+
+TEST(ExactMapper, CircuitWithoutCnotsGetsTheStatevectorCheck) {
+  Circuit c(3, "no-cnot");
+  c.h(0);
+  c.h(1);
+  c.h(2);
+  for (const EngineKind kind : {EngineKind::Cdcl, EngineKind::Dp}) {
+    const auto res = map_exact(c, arch::ibm_qx4(), fast_options(kind));
+    EXPECT_TRUE(res.verified) << res.verify_message;
+    EXPECT_NE(res.verify_message.find(kStatevectorOk), std::string::npos) << res.verify_message;
+  }
+}
+
+TEST(ExactMapper, WarmStartFallbackGetsTheStatevectorCheck) {
+  // 1 ms leaves the CDCL engine no time to find a model of qe_q_5 (69 CNOTs)
+  // under the warm-start bound, so the greedy route itself is emitted.
+  auto opt = fast_options(EngineKind::Cdcl);
+  opt.budget = std::chrono::milliseconds(1);
+  const auto res = map_exact(bench::table1_benchmark("qe_q_5").build(), arch::ibm_qx4(), opt);
+  ASSERT_NE(res.verify_message.find("warm-start fallback"), std::string::npos)
+      << res.verify_message;
+  EXPECT_EQ(res.status, Status::Feasible);
+  EXPECT_TRUE(res.verified) << res.verify_message;
+  EXPECT_NE(res.verify_message.find(kStatevectorOk), std::string::npos) << res.verify_message;
 }
 
 TEST(ExactMapper, MeasureAndBarrierSurvive) {

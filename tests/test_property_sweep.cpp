@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <functional>
@@ -434,12 +435,20 @@ TEST(FingerprintProperties, StringFormIsSelfDescribingAndStable) {
   }
 }
 
+/// The physical qubits a layout occupies, ascending: the winning subset.
+std::vector<int> sorted(std::vector<int> layout) {
+  std::sort(layout.begin(), layout.end());
+  return layout;
+}
+
 TEST(ExactParallelProperties, SerialAndParallelAgreeOnEveryBuiltInArchitecture) {
   // Subset mode needs n < m, and the induced instances stay tabulable
   // (n <= 8) even on the 16/20-qubit machines, so a 3-qubit skeleton
   // exercises every built-in coupling map. The heavy-hex machines have
   // hundreds of connected 3-subsets each — one seed keeps the sweep quick
-  // while still covering the subset shard scheduler at that scale.
+  // while still covering the subset shard scheduler at that scale. The Dp
+  // engine goes through the same reduction as CDCL, so it must pick the
+  // same winning subset at the same cost.
   for (const auto& name : arch::known_names()) {
     const auto cm = arch::by_name(name);
     const std::vector<std::uint64_t> seeds =
@@ -464,6 +473,14 @@ TEST(ExactParallelProperties, SerialAndParallelAgreeOnEveryBuiltInArchitecture) 
       EXPECT_EQ(parallel.initial_layout, serial.initial_layout) << name << " seed " << seed;
       EXPECT_EQ(parallel.mapped, serial.mapped) << name << " seed " << seed;
       EXPECT_TRUE(serial.verified) << serial.verify_message;
+      opt.engine = reason::EngineKind::Dp;
+      const auto dp = exact::map_exact(c, cm, opt);
+      EXPECT_EQ(dp.status, serial.status) << name << " seed " << seed;
+      EXPECT_EQ(dp.cost_f, serial.cost_f) << name << " seed " << seed;
+      EXPECT_EQ(dp.instances_solved, serial.instances_solved) << name << " seed " << seed;
+      EXPECT_EQ(sorted(dp.initial_layout), sorted(serial.initial_layout))
+          << name << " seed " << seed;
+      EXPECT_TRUE(dp.verified) << dp.verify_message;
     }
   }
 }
