@@ -3,21 +3,24 @@
 /// committed BENCH_table1.json at the committed budget and fails (exit 1)
 /// if any of them no longer proves or any proven cost drifts. Proven costs
 /// are deterministic (docs/benchmarks.md), so a drift is a correctness
-/// event; a lost proof is a solver-performance regression. With
-/// `--engine dp` it checks the default exact engine against the same file.
+/// event; a lost proof is a solver-performance regression. `--engine z3`
+/// re-proves the same rows through the paper's engine, and `--engine dp`
+/// checks the default exact engine against the same file.
 ///
 /// Usage: bench_sat_smoke [--smoke] [--baseline PATH] [--budget-ms N]
-///                        [--engine cdcl|dp]
+///                        [--engine cdcl|z3|dp]
 ///   --smoke         no-op flag naming the CI mode (kept for readability)
 ///   --baseline PATH BENCH_table1.json to check against (default:
 ///                   ./BENCH_table1.json)
 ///   --budget-ms N   override the per-solve budget (default: the baseline
 ///                   file's budget_ms)
 ///   --engine E      cdcl (default) re-proves the proven rows through the
-///                   SAT path. dp runs the layout DP on every row instead:
-///                   each proven row must reproduce its cost exactly and
-///                   every other row must prove at or below its recorded
-///                   best, so the baseline's open rows are checked too
+///                   SAT path; z3 does the same through Z3 and needs a
+///                   build with QXMAP_WITH_Z3=ON. dp runs the layout DP on
+///                   every row instead: each proven row must reproduce its
+///                   cost exactly and every other row must prove at or
+///                   below its recorded best, so the baseline's open rows
+///                   are checked too
 ///
 /// Unlike the bench_* suites this is a plain CLI (no Google-Benchmark
 /// dependency) so the quick CI gate can run it from the test build.
@@ -26,6 +29,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -110,12 +114,16 @@ int main(int argc, char** argv) {
     } else if (arg == "--budget-ms" && i + 1 < argc) {
       budget_ms = std::stoll(argv[++i]);
     } else if (arg == "--engine" && i + 1 < argc) {
-      const std::string name = argv[++i];
-      if (name != "cdcl" && name != "dp") {
-        std::cerr << "bench_sat_smoke: --engine must be cdcl or dp\n";
+      try {
+        engine = reason::engine_kind(argv[++i]);
+      } catch (const std::invalid_argument& e) {
+        std::cerr << "bench_sat_smoke: " << e.what() << '\n';
         return 2;
       }
-      engine = reason::engine_kind(name);
+      if (reason::running_engine(engine) != engine) {
+        std::cerr << "bench_sat_smoke: --engine z3 needs a build with QXMAP_WITH_Z3=ON\n";
+        return 2;
+      }
     } else {
       std::cerr << "bench_sat_smoke: unknown argument '" << arg << "'\n";
       return 2;

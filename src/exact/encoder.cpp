@@ -12,7 +12,7 @@ constexpr int lit(int v) { return v + 1; }
 
 /// Records the prefix as an engine-agnostic clause list: variable ids are
 /// prefix-local (sequential from 0), clauses are stored verbatim. Gives the
-/// shared ReasoningEngine helpers (add_exactly_one, add_implies_equal, …) a
+/// shared ReasoningEngine helpers (add_exactly_one, add_at_most_one, …) a
 /// target without involving a real solver, so the prefix is derived once
 /// per circuit instead of once per subset instance. Costs, bounds and
 /// solving are per-instance by definition and therefore rejected.
@@ -64,6 +64,9 @@ Encoding::Prefix Encoding::build_prefix(const std::vector<Gate>& cnots, int num_
   for (const auto& g : cnots) p.gates.emplace_back(g.control, g.target);
   p.perm_points = perm_points;
   std::sort(p.perm_points.begin(), p.perm_points.end());
+  if (std::adjacent_find(p.perm_points.begin(), p.perm_points.end()) != p.perm_points.end()) {
+    throw std::invalid_argument("Encoding: duplicate permutation point");
+  }
   p.perms = Permutation::all(static_cast<std::size_t>(p.m));
 
   ClauseCollector c;
@@ -74,12 +77,20 @@ Encoding::Prefix Encoding::build_prefix(const std::vector<Gate>& cnots, int num_
   };
 
   // --- mapping variables x^k_ij (Def. 4) -------------------------------
-  p.x.resize(static_cast<std::size_t>(p.num_gates) * static_cast<std::size_t>(m) *
-             static_cast<std::size_t>(n));
-  for (auto& v : p.x) v = c.new_bool();
+  // A fresh x block at gate 0 and at each point; every other gate reuses
+  // its predecessor's ids, since the mapping cannot change there.
+  std::vector<int> blocks;  // first gate of each x block
+  const auto block = static_cast<std::size_t>(m * n);
+  p.x.resize(static_cast<std::size_t>(p.num_gates) * block);
+  for (std::size_t v = 0; v < p.x.size(); ++v) {
+    const std::size_t k = v / block;
+    const bool fresh = k == 0 || std::binary_search(p.perm_points.begin(), p.perm_points.end(), k);
+    if (fresh && v % block == 0) blocks.push_back(static_cast<int>(k));
+    p.x[v] = fresh ? c.new_bool() : p.x[v - block];
+  }
 
-  // --- Eq. (1): well-defined mapping per gate ---------------------------
-  for (int k = 0; k < p.num_gates; ++k) {
+  // --- Eq. (1): well-defined mapping, once per x block ------------------
+  for (const int k : blocks) {
     for (int j = 0; j < n; ++j) {
       std::vector<int> lits;
       lits.reserve(static_cast<std::size_t>(m));
@@ -94,40 +105,29 @@ Encoding::Prefix Encoding::build_prefix(const std::vector<Gate>& cnots, int num_
     }
   }
 
-  // --- Eq. (3): mapping changes only at permutation points --------------
+  // --- Eq. (3): one π per point, linked one way (see encoder.hpp) ------
   p.y.resize(p.perm_points.size());
-  std::size_t point_idx = 0;
-  for (int k = 1; k < p.num_gates; ++k) {
-    const bool is_point = point_idx < p.perm_points.size() &&
-                          p.perm_points[point_idx] == static_cast<std::size_t>(k);
-    if (!is_point) {
-      // Hard equality x^{k-1} = x^k (no permutation allowed here, Sec. 4.2).
-      for (int i = 0; i < m; ++i) {
-        for (int j = 0; j < n; ++j) {
-          c.add_equal_lits(lit(x_at(k - 1, i, j)), lit(x_at(k, i, j)));
-        }
-      }
-      continue;
-    }
+  for (std::size_t point_idx = 0; point_idx < p.perm_points.size(); ++point_idx) {
+    const int k = static_cast<int>(p.perm_points[point_idx]);
     auto& ys = p.y[point_idx];
     ys.reserve(p.perms.size());
     std::vector<int> y_lits;
     y_lits.reserve(p.perms.size());
-    for (std::size_t q = 0; q < p.perms.size(); ++q) {
+    for (const Permutation& pi : p.perms) {
       const int yv = c.new_bool();
       ys.push_back(yv);
       y_lits.push_back(lit(yv));
-      // y^k_π → ∧_{i,j} (x^{k-1}_ij = x^k_{π(i)j})
-      const Permutation& pi = p.perms[q];
+      // y^k_π ∧ x^{k-1}_ij → x^k_{π(i)j}; Eq. (1) implies the converse.
       for (int i = 0; i < m; ++i) {
         for (int j = 0; j < n; ++j) {
-          c.add_implies_equal(lit(yv), lit(x_at(k - 1, i, j)),
-                              lit(x_at(k, pi.at(static_cast<std::size_t>(i)), j)));
+          c.add_clause({-lit(yv), -lit(x_at(k - 1, i, j)),
+                        lit(x_at(k, pi.at(static_cast<std::size_t>(i)), j))});
         }
       }
     }
-    c.add_exactly_one(y_lits);
-    ++point_idx;
+    // With n == m, Eq. (1) already admits one π at most.
+    c.add_at_least_one(y_lits);
+    if (n < m) c.add_at_most_one(y_lits);
   }
 
   p.var_count = static_cast<std::size_t>(c.var_count_);

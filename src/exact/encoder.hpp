@@ -8,11 +8,15 @@
 ///    logical→physical mapping *before* gate k.
 ///  * A "permutation point" k (k >= 1) allows the mapping to change between
 ///    gates k-1 and k; the initial mapping (before gate 0) is always free.
-///  * Eq. (3) is encoded in the footnote-5 form that is correct for both
-///    n = m and n < m: exactly-one over the y^k_π plus the left implication
-///    y^k_π → ∧ (x^{k-1}_ij = x^k_{π(i)j}). With n = m the consistent π is
-///    unique, so this degenerates to the equivalence of Eq. (3); with n < m
-///    the objective makes the engine pick the cheapest consistent π.
+///  * x^k is a fresh m·n block at gate 0 and at each point; other gates
+///    reuse their predecessor's ids, and Eq. (1) is stated once per block.
+///  * Eq. (3) keeps what Eq. (1) does not imply: y^k_π ∧ x^{k-1}_ij →
+///    x^k_{π(i)j} per (π, i, j) and at-least-one over the y^k_π. The
+///    converse holds since logical j sits at one i′ before the gate, hence
+///    at π(i′) after it, and Eq. (1) allows one position: π(i′) = π(i).
+///    With n = m two true y's would send an occupied qubit to two places;
+///    with n < m two π may agree on every occupied qubit, so an
+///    at-most-one is added and the objective picks the cheaper.
 ///  * Eq. (4) is strengthened to z^k ↔ (reverse placement ∧ ¬forward
 ///    placement) so that bidirected couplings do not pay the 4-H penalty;
 ///    on the antisymmetric QX coupling maps this is exactly Eq. (4).

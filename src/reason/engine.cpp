@@ -78,16 +78,6 @@ int ReasoningEngine::make_or(const std::vector<int>& lits) {
   return t;
 }
 
-void ReasoningEngine::add_equal_lits(int a, int b) {
-  add_clause({-a, b});
-  add_clause({a, -b});
-}
-
-void ReasoningEngine::add_implies_equal(int antecedent, int a, int b) {
-  add_clause({-antecedent, -a, b});
-  add_clause({-antecedent, a, -b});
-}
-
 std::string to_string(EngineKind kind) {
   switch (kind) {
     case EngineKind::Z3: return "z3";

@@ -126,20 +126,17 @@ class ReasoningEngine {
   // Convenience helpers shared by all backends (implemented via add_clause /
   // new_bool only).
 
-  /// Pairwise at-most-one.
+  /// At-most-one: pairwise up to 6 literals, above that the sequential
+  /// ("ladder") encoding with fresh auxiliary variables.
   void add_at_most_one(const std::vector<int>& lits);
   /// One clause.
   void add_at_least_one(const std::vector<int>& lits);
-  /// Exactly-one (pairwise).
+  /// Exactly-one: add_at_least_one plus add_at_most_one.
   void add_exactly_one(const std::vector<int>& lits);
   /// Fresh t with t ↔ (a ∧ b); operands are literals.
   [[nodiscard]] int make_and(int a, int b);
   /// Fresh t with t ↔ ∨ lits (empty input → t fixed false).
   [[nodiscard]] int make_or(const std::vector<int>& lits);
-  /// Force literal equality a = b.
-  void add_equal_lits(int a, int b);
-  /// antecedent → (a = b); all three are literals.
-  void add_implies_equal(int antecedent, int a, int b);
 
  protected:
   /// True once set_bound_source installed a source.

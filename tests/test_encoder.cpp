@@ -10,6 +10,7 @@
 
 #include "arch/architectures.hpp"
 #include "arch/swap_costs.hpp"
+#include "common/permutation.hpp"
 #include "reason/cdcl_engine.hpp"
 
 namespace qxmap {
@@ -222,6 +223,88 @@ TEST(Encoder, SwapLadderCountsExactlySwapsOfTheChosenPermutation) {
   }
 }
 
+/// Status of the prefix alone, replayed into a CdclEngine without cost
+/// terms, under unit clauses fixing the literals in `units`.
+Status prefix_status(const Encoding::Prefix& prefix, const std::vector<int>& units) {
+  reason::CdclEngine engine;
+  for (std::size_t v = 0; v < prefix.var_count; ++v) (void)engine.new_bool();
+  for (const auto& clause : prefix.clauses) engine.add_clause(clause);
+  for (const int l : units) engine.add_clause({l});
+  return engine.minimize(kBudget).status;
+}
+
+/// Every injective placement of n logical qubits on m physical ones.
+std::vector<std::vector<int>> all_layouts(int n, int m) {
+  std::vector<std::vector<int>> out;
+  for (const auto& pi : Permutation::all(static_cast<std::size_t>(m))) {
+    std::vector<int> layout;
+    for (int j = 0; j < n; ++j) layout.push_back(pi.at(static_cast<std::size_t>(j)));
+    if (std::find(out.begin(), out.end(), layout) == out.end()) out.push_back(layout);
+  }
+  return out;
+}
+
+TEST(Encoder, PermutationLinkAdmitsExactlyTheConsistentPermutations) {
+  // Eq. (3) is emitted one way only (y^k_π ∧ x^{k-1}_ij → x^k_{π(i)j}),
+  // with at-least-one over the y's when n == m; Eq. (1) must supply the
+  // rest. The prefix is coupling-independent, so the m = 3 cases stand for
+  // any 3-qubit map, the induced QX4 triangle included. With n == m, π is
+  // consistent iff L1 = π∘L0; with n < m, iff π agrees with L1 on the
+  // qubits L0 occupies. Both read L1[j] == π(L0[j]) for every j.
+  const std::vector<Gate> cnots{Gate::cnot(0, 1), Gate::cnot(1, 0)};
+  for (const auto& [n, m] : {std::pair{3, 3}, std::pair{2, 3}, std::pair{2, 4}}) {
+    const auto prefix = Encoding::build_prefix(cnots, n, m, {1});
+    const auto x_lit = [&](int k, int i, int j) {
+      return prefix.x[static_cast<std::size_t>((k * m + i) * n + j)] + 1;
+    };
+    const auto layouts = all_layouts(n, m);
+    for (const auto& l0 : layouts) {
+      for (const auto& l1 : layouts) {
+        for (std::size_t q = 0; q < prefix.perms.size(); ++q) {
+          const Permutation& pi = prefix.perms[q];
+          std::vector<int> units{prefix.y[0][q] + 1};
+          bool consistent = true;
+          for (int j = 0; j < n; ++j) {
+            const auto p0 = static_cast<std::size_t>(l0[static_cast<std::size_t>(j)]);
+            const int p1 = l1[static_cast<std::size_t>(j)];
+            units.push_back(x_lit(0, static_cast<int>(p0), j));
+            units.push_back(x_lit(1, p1, j));
+            consistent = consistent && pi.at(p0) == p1;
+          }
+          EXPECT_EQ(prefix_status(prefix, units), consistent ? Status::Optimal : Status::Unsat)
+              << "n=" << n << " m=" << m << " π#" << q;
+        }
+      }
+    }
+    // No two permutations at one point. Eq. (1) implies it when n >= m - 1
+    // (two distinct permutations agree on at most m - 2 qubits); at n = 2,
+    // m = 4 only the explicit at-most-one forbids it.
+    for (std::size_t a = 0; a < prefix.perms.size(); ++a) {
+      for (std::size_t b = a + 1; b < prefix.perms.size(); ++b) {
+        EXPECT_EQ(prefix_status(prefix, {prefix.y[0][a] + 1, prefix.y[0][b] + 1}), Status::Unsat)
+            << "n=" << n << " m=" << m << " π#" << a << " π#" << b;
+      }
+    }
+  }
+}
+
+TEST(Encoder, NonPointGatesShareTheirPredecessorsXBlock) {
+  // Points {2} over four gates: blocks start at gates 0 and 2, and gates 1
+  // and 3 reuse them.
+  const std::vector<Gate> cnots{Gate::cnot(0, 1), Gate::cnot(1, 2), Gate::cnot(0, 2),
+                                Gate::cnot(2, 1)};
+  const auto prefix = Encoding::build_prefix(cnots, 3, 3, {2});
+  const auto x_block = [&](int k) {
+    const auto first = prefix.x.begin() + k * 9;
+    return std::vector<int>(first, first + 9);
+  };
+  EXPECT_EQ(x_block(1), x_block(0));
+  EXPECT_EQ(x_block(3), x_block(2));
+  EXPECT_NE(x_block(2), x_block(1));
+  // Two blocks of 9 x's plus 3! y's; n == m needs no at-most-one ladder.
+  EXPECT_EQ(prefix.var_count, 2u * 9u + 6u);
+}
+
 TEST(Encoder, ValidationErrors) {
   const auto cm = arch::ibm_qx4();
   const arch::SwapCostTable table(cm);
@@ -232,6 +315,8 @@ TEST(Encoder, ValidationErrors) {
   EXPECT_THROW(Encoding(*engine, cnots, 1, cm, table, {}, qx_costs()), std::invalid_argument);
   EXPECT_THROW(Encoding(*engine, cnots, 2, cm, table, {0}, qx_costs()), std::invalid_argument);
   EXPECT_THROW(Encoding(*engine, cnots, 2, cm, table, {5}, qx_costs()), std::invalid_argument);
+  const std::vector<Gate> pair{Gate::cnot(0, 1), Gate::cnot(1, 0)};
+  EXPECT_THROW(Encoding(*engine, pair, 2, cm, table, {1, 1}, qx_costs()), std::invalid_argument);
   exact::CostModel unresolved;  // swap_cost = -1
   EXPECT_THROW(Encoding(*engine, cnots, 2, cm, table, {}, unresolved), std::invalid_argument);
 }

@@ -114,8 +114,9 @@ TEST_P(EngineTest, MakeOrAndEquality) {
   const int a = e->new_bool();
   const int b = e->new_bool();
   const int o = e->make_or({a + 1, b + 1});
-  e->add_equal_lits(a + 1, -(b + 1));  // a = !b
-  e->add_clause({-(a + 1)});           // a false -> b true -> or true
+  e->add_clause({-(a + 1), -(b + 1)});  // a = !b
+  e->add_clause({a + 1, b + 1});
+  e->add_clause({-(a + 1)});  // a false -> b true -> or true
   ASSERT_EQ(e->minimize(kBudget).status, Status::Optimal);
   EXPECT_TRUE(e->value(b));
   EXPECT_TRUE(e->value(o));
@@ -260,21 +261,6 @@ TEST_P(EngineTest, MakeOrTruthTable) {
   }
 }
 
-TEST_P(EngineTest, AddEqualLitsForcesEquality) {
-  for (const bool av : {false, true}) {
-    for (const bool bv : {false, true}) {
-      auto e = make_engine(GetParam());
-      const int a = e->new_bool() + 1;
-      const int b = e->new_bool() + 1;
-      e->add_equal_lits(a, b);
-      e->add_clause({av ? a : -a});
-      e->add_clause({bv ? b : -b});
-      EXPECT_EQ(e->minimize(kBudget).status, av == bv ? Status::Optimal : Status::Unsat)
-          << "a=" << av << " b=" << bv;
-    }
-  }
-}
-
 TEST_P(EngineTest, MakeOrOfNothingIsFixedFalse) {
   auto free_run = make_engine(GetParam());
   const int t = free_run->make_or({});
@@ -284,26 +270,6 @@ TEST_P(EngineTest, MakeOrOfNothingIsFixedFalse) {
   auto forced = make_engine(GetParam());
   forced->add_clause({forced->make_or({}) + 1});
   EXPECT_EQ(forced->minimize(kBudget).status, Status::Unsat);
-}
-
-TEST_P(EngineTest, ImpliesEqualTruthTable) {
-  for (const bool antecedent : {false, true}) {
-    for (const bool av : {false, true}) {
-      for (const bool bv : {false, true}) {
-        auto e = make_engine(GetParam());
-        const int c = e->new_bool() + 1;
-        const int a = e->new_bool() + 1;
-        const int b = e->new_bool() + 1;
-        e->add_implies_equal(c, a, b);
-        e->add_clause({antecedent ? c : -c});
-        e->add_clause({av ? a : -a});
-        e->add_clause({bv ? b : -b});
-        const Status expected = !antecedent || av == bv ? Status::Optimal : Status::Unsat;
-        EXPECT_EQ(e->minimize(kBudget).status, expected)
-            << "antecedent=" << antecedent << " a=" << av << " b=" << bv;
-      }
-    }
-  }
 }
 
 /// Brute-force reference for small weighted MaxSAT instances.

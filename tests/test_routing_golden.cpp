@@ -211,9 +211,9 @@ TEST(RoutingGolden, ExactFullArchitectureWithWarmStart) {
   const auto res = exact::map_exact(qx4_five_qubit(), arch::ibm_qx4(), exact_options());
   ASSERT_EQ(res.status, reason::Status::Optimal);
   expect_pin(res,
-             Pin{"c5:efffd4b5a2a9ac03", 1, 2,
+             Pin{"c5:fa2a485fc0c350cf", 1, 2,
                  {3, 0, 1, 4, 2},
-                 {3, 2, 1, 4, 0}});
+                 {3, 0, 1, 2, 4}});
 }
 
 TEST(RoutingGolden, ExactSubsetsAndReconstruct) {

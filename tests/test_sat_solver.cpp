@@ -369,13 +369,13 @@ TEST(SatSolver, Table1RowSearchCountersArePinned) {
   ASSERT_EQ(out.status, reason::Status::Optimal);
   EXPECT_EQ(out.cost, 33);
   sat::SolverStats want;
-  want.conflicts = 3720;
-  want.decisions = 24949;
-  want.propagations = 1877100;
-  want.learned = 3720;
-  want.lbd_sum = 90880;
-  want.restarts = 30;
-  want.learnt_deleted = 771;
+  want.conflicts = 3754;
+  want.decisions = 18400;
+  want.propagations = 1540233;
+  want.learned = 3754;
+  want.lbd_sum = 46471;
+  want.restarts = 23;
+  want.learnt_deleted = 753;
   expect_counters(engine.solver_stats(), want);
 }
 
@@ -395,7 +395,7 @@ TEST(SatSolver, Table1MultiSubsetScheduleIsPinned) {
   const auto res = exact::map_exact(circuit, arch::ibm_qx4(), opt);
   ASSERT_EQ(res.status, reason::Status::Optimal);
   EXPECT_EQ(res.cost_f, 7);
-  EXPECT_EQ(conflicts(), 168u);
+  EXPECT_EQ(conflicts(), 175u);
   EXPECT_EQ(res.initial_layout, (std::vector<int>{1, 2, 0}));
   EXPECT_EQ(res.final_layout, (std::vector<int>{1, 0, 2}));
 }
