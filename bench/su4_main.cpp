@@ -1,9 +1,11 @@
 /// \file su4_main.cpp
 /// SU(4) stress gate for the large-architecture path: generator → heavy-hex
-/// coupling map → layer-weight and SABRE heuristics, end to end.
+/// coupling map → layer-weight and SABRE heuristics, end to end; and the
+/// exact Sec. 4.1 subset path on the same architectures.
 ///
-/// Usage: bench_su4 [--smoke] [--sweep] [--arch NAME] [--layers N]
-///                  [--seed N] [--budget-ms N] [--json PATH]
+/// Usage: bench_su4 [--smoke] [--sweep] [--exact N] [--arch NAME]
+///                  [--layers N] [--cnots N] [--seed N] [--budget-ms N]
+///                  [--json PATH]
 ///   --smoke       CI mode: a seeded SU(4) instance over the full
 ///                 architecture (default hex27, 27 qubits) must map via the
 ///                 layer-weight and SABRE heuristics within --budget-ms,
@@ -14,8 +16,15 @@
 ///   --sweep       print a layer-weight vs sabre comparison table over the
 ///                 heavy-hex built-ins (hex27/65/127), asserting legality
 ///                 and verification on every row
-///   --arch NAME   architecture for --smoke (default hex27)
+///   --exact N     map bench::random_circuit(N, 10, --cnots, --seed) with
+///                 map_exact (Dp engine, Sec. 4.1 subsets, one thread) on
+///                 --arch; print the connected N-subsets, their isomorphism
+///                 classes, the subsets solved, the cost and the wall time;
+///                 exit 1 unless the result is Optimal and verified within
+///                 --budget-ms
+///   --arch NAME   architecture for --smoke and --exact (default hex27)
 ///   --layers N    SU(4) layers (default 3)
+///   --cnots N     CNOTs of the --exact circuit (default 20)
 ///   --seed N      generator seed (default 7)
 ///   --budget-ms N smoke wall-clock budget (default 60000 — generous so the
 ///                 TSan matrix entry passes; the real run is milliseconds)
@@ -34,9 +43,11 @@
 #include <vector>
 
 #include "arch/architectures.hpp"
+#include "arch/subsets.hpp"
 #include "bench_circuits/generators.hpp"
 #include "bench_meta.hpp"
 #include "common/strings.hpp"
+#include "exact/exact_mapper.hpp"
 #include "exact/swap_synthesis.hpp"
 #include "heuristic/layer_weight_mapper.hpp"
 #include "heuristic/sabre_mapper.hpp"
@@ -49,8 +60,10 @@ using Clock = std::chrono::steady_clock;
 struct Args {
   bool smoke = false;
   bool sweep = false;
+  int exact = 0;  // --exact N: logical qubits of the exact run; 0 = off
   std::string arch = "hex27";
   int layers = 3;
+  int cnots = 20;
   std::uint64_t seed = 7;
   long long budget_ms = 60000;
   std::string json_path;
@@ -68,6 +81,10 @@ Args parse_args(int argc, char** argv) {
       a.smoke = true;
     } else if (arg == "--sweep") {
       a.sweep = true;
+    } else if (arg == "--exact") {
+      a.exact = std::stoi(next());
+    } else if (arg == "--cnots") {
+      a.cnots = std::stoi(next());
     } else if (arg == "--arch") {
       a.arch = next();
     } else if (arg == "--layers") {
@@ -234,11 +251,38 @@ int run_sweep(const Args& args) {
   return ok ? 0 : 1;
 }
 
+int run_exact(const Args& args) {
+  const arch::CouplingMap cm = arch::by_name(args.arch);
+  const Circuit circuit =
+      bench::random_circuit(args.exact, 10, args.cnots, args.seed, "exact_" + cm.name());
+  const auto subsets = arch::connected_subsets(cm, args.exact);
+  const arch::SubsetClasses classes = arch::subset_classes(cm, subsets);
+  exact::ExactOptions options;
+  options.engine = reason::EngineKind::Dp;
+  options.use_subsets = true;
+  options.num_threads = 1;
+  options.budget = std::chrono::milliseconds(args.budget_ms);
+  const auto t0 = Clock::now();
+  const exact::MappingResult res = exact::map_exact(circuit, cm, options);
+  const double ms = std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+  std::cout << "bench_su4 --exact " << args.exact << ": " << args.cnots << " CNOTs on "
+            << cm.name() << ", subsets " << subsets.size() << ", classes " << classes.classes
+            << ", solved " << res.instances_solved << " of " << classes.solve.size()
+            << ", status " << reason::to_string(res.status) << ", cost " << res.cost_f << ", "
+            << format_fixed(ms, 1) << " ms\n";
+  const bool ok = res.status == reason::Status::Optimal && res.verified &&
+                  ms <= static_cast<double>(args.budget_ms);
+  if (!res.verified) std::cout << "FAIL: not verified (" << res.verify_message << ")\n";
+  std::cout << (ok ? "OK" : "FAILED") << " (budget " << args.budget_ms << " ms)\n";
+  return ok ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
     const Args args = parse_args(argc, argv);
+    if (args.exact > 0) return run_exact(args);
     if (args.sweep) return run_sweep(args);
     if (args.smoke) return run_smoke(args);
     // Default: one verbose smoke run.

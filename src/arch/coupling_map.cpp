@@ -30,6 +30,9 @@ CouplingMap::CouplingMap(int num_physical, std::vector<std::pair<int, int>> edge
     neighbours_[static_cast<std::size_t>(b)].push_back(a);
   }
   for (auto& nb : neighbours_) std::sort(nb.begin(), nb.end());
+  // edges_ is sorted, so every target list comes out sorted.
+  out_neighbours_.assign(static_cast<std::size_t>(m_), {});
+  for (const auto& [c, t] : edges_) out_neighbours_[static_cast<std::size_t>(c)].push_back(t);
 
   // Built with append() rather than operator+ chains: GCC 12's -Wrestrict
   // false-positives on the latter (same workaround as dimacs/z3_engine).
@@ -44,14 +47,22 @@ CouplingMap::CouplingMap(int num_physical, std::vector<std::pair<int, int>> edge
   }
 }
 
-bool CouplingMap::allows(int control, int target) const {
-  return std::binary_search(edges_.begin(), edges_.end(), std::make_pair(control, target));
+namespace {
+
+/// True iff `target` is in `lists[from]`; false for an out-of-range `from`.
+bool listed(const std::vector<std::vector<int>>& lists, int from, int target) {
+  if (from < 0 || static_cast<std::size_t>(from) >= lists.size()) return false;
+  const std::vector<int>& list = lists[static_cast<std::size_t>(from)];
+  return std::binary_search(list.begin(), list.end(), target);
 }
 
-bool CouplingMap::coupled(int a, int b) const {
-  return std::binary_search(undirected_.begin(), undirected_.end(),
-                            std::make_pair(std::min(a, b), std::max(a, b)));
+}  // namespace
+
+bool CouplingMap::allows(int control, int target) const {
+  return listed(out_neighbours_, control, target);
 }
+
+bool CouplingMap::coupled(int a, int b) const { return listed(neighbours_, a, b); }
 
 const std::vector<int>& CouplingMap::neighbours(int p) const {
   if (p < 0 || p >= m_) throw std::out_of_range("CouplingMap::neighbours");

@@ -45,10 +45,14 @@ class CouplingMap {
   [[nodiscard]] int num_physical() const noexcept { return m_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
-  /// Directed query: CNOT(control → target) natively executable?
+  /// Directed query: CNOT(control → target) natively executable? A binary
+  /// search of `control`'s out-neighbours; false (no throw) for equal or
+  /// out-of-range arguments.
   [[nodiscard]] bool allows(int control, int target) const;
 
-  /// Undirected query: any CNOT orientation executable between a and b?
+  /// Undirected query: any CNOT orientation executable between a and b? A
+  /// binary search of `a`'s neighbours; false (no throw) for equal or
+  /// out-of-range arguments.
   [[nodiscard]] bool coupled(int a, int b) const;
 
   /// All directed edges, sorted.
@@ -128,6 +132,7 @@ class CouplingMap {
   std::vector<std::pair<int, int>> edges_;
   std::vector<std::pair<int, int>> undirected_;
   std::vector<std::vector<int>> neighbours_;
+  std::vector<std::vector<int>> out_neighbours_;  // targets per control, sorted
   ErrorRates rates_;
   std::string noise_fingerprint_;
 };

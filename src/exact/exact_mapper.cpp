@@ -203,15 +203,23 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
 
   const auto points = permutation_points(cnots, options.strategy, cm);
 
-  // Instance list (Sec. 4.1).
+  // Instance list (Sec. 4.1), and the instances that can win the reduction:
+  // one per isomorphism class of induced coupling graphs, minus the classes
+  // a lower-index class dominates (arch::subset_classes has the argument).
   std::vector<std::vector<int>> instances;
-  if (options.use_subsets && n < m) {
+  std::vector<std::size_t> solve{0};  // indices into `instances`, ascending
+  const bool subsets = options.use_subsets && n < m;
+  if (subsets) {
     obs::Span span("exact.subsets", "exact");
     instances = arch::connected_subsets(cm, n);
     span.attr("count", instances.size());
     if (instances.empty()) {
       throw std::invalid_argument("map_exact: no connected subset of the required size");
     }
+    arch::SubsetClasses classes = arch::subset_classes(cm, instances);
+    solve = std::move(classes.solve);
+    span.attr("classes", classes.classes);
+    span.attr("solved", solve.size());
   } else {
     if (m > 8) {
       throw std::invalid_argument(
@@ -224,13 +232,13 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   map_span.attr("instances", instances.size());
   res.permutation_points = static_cast<int>(points.size()) + 1;
 
-  // --- One task per instance on the process-wide executor -----------------
+  // --- One task per solved instance on the process-wide executor ----------
   //
   // The full protocol — shard lifecycle, shared-bound memory ordering and
   // the determinism argument — is specified in docs/concurrency.md; the
   // comments here are the short version.
   //
-  // Each instance becomes one task on the shared ShardExecutor (so shards
+  // Each solved instance becomes one task on the shared ShardExecutor (so shards
   // of concurrent map() calls interleave through a single pool instead of
   // one pool per call); `options.num_threads` survives as this request's
   // concurrency cap. Tasks pop in subset-index order. Every task finds its
@@ -243,6 +251,10 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   // skipped: they can at best tie and lose the index tie-break. Lower
   // indices still run, preserving the tie-break winner.
   const bool dp = options.engine == reason::EngineKind::Dp;
+  const std::size_t tasks = solve.size();
+  // Only several solves share a prefix, publish bounds to each other, and
+  // need the canonical re-solve.
+  const bool shared = tasks > 1;
   const auto deadline = start + options.budget;  // one deadline for the sweep
   constexpr long long kNone = std::numeric_limits<long long>::max();
 
@@ -257,12 +269,14 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   // reported optimum is independent of the bounds it observed; its *model*
   // is not, and the winner's is re-derived canonically after the reduction.
 
-  // Warm start: with a single instance under the All strategy, the symbolic
-  // formulation can express every swap schedule, so the greedy route's cost
-  // is a feasible objective value and seeds the bound (see greedy_route).
+  // Warm start: with the whole architecture as the one instance, under the
+  // All strategy, the symbolic formulation can express every swap schedule,
+  // so the greedy route's cost is a feasible objective value and seeds the
+  // bound (see greedy_route). A lone connected subset is not enough: the
+  // greedy route may leave it.
   std::optional<Router> warm;
   long long warm_cost = kNone;
-  if (!dp && instances.size() == 1 && options.strategy == PermutationStrategy::All) {
+  if (!dp && !subsets && options.strategy == PermutationStrategy::All) {
     obs::Span span("exact.warm_start", "exact");
     warm = greedy_route(circuit, cm);
     // The bound lives in resolved objective units, not emitted-gate units —
@@ -279,7 +293,7 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   // without snapshot support just replay again from the list, still
   // skipping the per-instance constraint derivation).
   std::optional<Encoding::Prefix> prefix;
-  if (!dp && instances.size() > 1) {
+  if (!dp && shared) {
     obs::Span span("exact.prefix", "exact");
     prefix.emplace(Encoding::build_prefix(cnots, n, n, points));
   }
@@ -319,10 +333,10 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
     }
     const long long bound = shared_bound.load(std::memory_order_acquire);
     if (bound != kNone) engine.set_upper_bound(bound);
-    if (instances.size() > 1) {
+    if (shared) {
       // Live view of the shared bound: the engine re-tightens its GTE /
       // PB constraint whenever a sibling publishes a cheaper model.
-      // Pointless with a single instance (no sibling can publish), and
+      // Pointless with a single solve (no sibling can publish), and
       // skipping it there spares the engine its checkpoint overhead —
       // the Z3 backend in particular trades contiguous search time for
       // poll opportunities (see Z3Engine::kPollInterval).
@@ -347,13 +361,14 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
     lower_to(shared_bound, out.route.cost);
   };
 
-  std::vector<InstanceOutcome> outcomes(instances.size());
-  std::atomic<long long> zero_index{kNone};  // lowest index with a cost-0 model
+  std::vector<InstanceOutcome> outcomes(tasks);  // outcomes[t]: instance solve[t]
+  std::atomic<long long> zero_task{kNone};  // lowest task with a cost-0 model
   std::atomic<bool> failed{false};
-  const auto solve_instance = [&](std::size_t i) {
+  const auto solve_instance = [&](std::size_t t) {
     if (failed.load(std::memory_order_acquire)) return;
-    if (static_cast<long long>(i) > zero_index.load(std::memory_order_acquire)) return;
-    InstanceOutcome& out = outcomes[i];
+    if (static_cast<long long>(t) > zero_task.load(std::memory_order_acquire)) return;
+    InstanceOutcome& out = outcomes[t];
+    const std::size_t i = solve[t];
     try {
       if (dp) {
         obs::Span span("exact.solve", "exact");
@@ -366,7 +381,7 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
       }
       count_solved_instance();
       if (has_model(out.route.status) && out.route.cost == 0) {
-        lower_to(zero_index, static_cast<long long>(i));
+        lower_to(zero_task, static_cast<long long>(t));
       }
     } catch (...) {
       // Make the remaining tasks no-ops so siblings stop promptly; the
@@ -376,13 +391,14 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
     }
   };
   ShardExecutor& executor = ShardExecutor::instance();
-  executor.run_to_completion(executor.submit(
-      solve_instance, instances.size(), resolve_num_threads(options.num_threads, instances.size())));
+  executor.run_to_completion(
+      executor.submit(solve_instance, tasks, resolve_num_threads(options.num_threads, tasks)));
 
   // --- Deterministic reduction -------------------------------------------
   // Keep the lowest cost, ties to the lowest index, and stop after the first
   // instance with a cost-0 model: everything after it was skipped or can
-  // only lose the tie-break. `open`: some instance in range ran out of time
+  // only lose the tie-break. `instances_solved` counts the solves up to
+  // that cut. `open`: some instance in range ran out of time
   // or holds a model not proven optimal, so it may hide a cheaper route.
   // Without a winner no instance holds a model, and `open` then means some
   // instance is Unknown.
@@ -415,18 +431,19 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
   }
 
   InstanceOutcome& win = outcomes[*best];
-  const std::vector<int>& subset = instances[*best];
+  const std::vector<int>& subset = instances[solve[*best]];
 
   // --- Canonical model re-derivation (SAT only) ---------------------------
   // A shard's decoded model can depend on the bound it happened to observe
   // (the bound changes the search path, and several optimal models may
-  // exist), while its reported *cost* cannot. With more than one instance
-  // the winner is therefore re-solved once under the canonical bound C* —
+  // exist), while its reported *cost* cannot. With more than one solve the
+  // winner is therefore re-solved once under the canonical bound C* —
   // fully determined by the inputs — so the emitted layouts are
-  // bit-identical at every thread count. The bounded re-solve is cheap: a
-  // model of cost C* is known to exist and nothing below it does. Its
-  // allowance, `budget / instances`, depends only on the inputs.
-  if (!dp && instances.size() > 1) {
+  // bit-identical at every thread count. A model of cost C* is known to
+  // exist and nothing below it does, so the first model under the bound is
+  // taken without proving the optimum again. Its allowance,
+  // `budget / solves`, depends only on the inputs.
+  if (!dp && shared) {
     obs::Span span("exact.canonical_resolve", "exact");
     const long long canonical = win.route.cost;
     span.attr("cost", canonical);
@@ -434,8 +451,8 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
     auto engine = reason::make_engine(options.engine);
     const Encoding enc(*engine, cnots, n, induced, *win.table, points, costs);
     engine->set_upper_bound(canonical);
-    const reason::Outcome outcome = engine->minimize(std::chrono::milliseconds(
-        std::max<long long>(1, options.budget.count() / static_cast<long long>(instances.size()))));
+    const reason::Outcome outcome = engine->find_model(std::chrono::milliseconds(
+        std::max<long long>(1, options.budget.count() / static_cast<long long>(tasks))));
     if (has_model(outcome.status)) {
       Encoding::Solution sol = enc.decode();
       if (sol.cost_f <= canonical) win.model = std::move(sol);

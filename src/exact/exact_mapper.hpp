@@ -7,8 +7,10 @@
 ///     constraints, footnote 3);
 ///  2. choose permutation points G' per the configured strategy (Sec. 4.2);
 ///  3. build one instance over all m physical qubits — or, with
-///     ExactOptions::use_subsets, one per connected n-subset (Sec. 4.1) —
-///     and minimize Eq. (5) on each, sharded across the process-wide
+///     ExactOptions::use_subsets, one per connected n-subset (Sec. 4.1),
+///     of which only the lowest-index member of each isomorphism class
+///     that no lower-index class dominates can win (arch::subset_classes)
+///     — and minimize Eq. (5) on each of those, sharded across the process-wide
 ///     executor (at most ExactOptions::num_threads at once) and reduced to
 ///     the lowest cost, ties to the lowest subset index (bit-identical at
 ///     any thread count; protocol spec in docs/concurrency.md):
@@ -16,8 +18,9 @@
 ///       returns an optimal route per instance;
 ///     - Cdcl / Z3: each shard owns its reasoning engine, instances pop in
 ///       subset-index order, a shared atomic bound feeds every shard's
-///       Eq. (5) upper bound at solve start and mid-solve, and the winner
-///       is re-solved canonically; swaps(π) tables come from the
+///       Eq. (5) upper bound at solve start and mid-solve, and with more
+///       than one solve the winner's first model under its cost is
+///       re-derived canonically; swaps(π) tables come from the
 ///       process-wide arch::SwapCostCache;
 ///  4. take the winner as a subset-local LayoutRoute — the DP's own, or the
 ///     decoded model's permutations as SWAP chains along coupling edges —

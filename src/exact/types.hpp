@@ -142,10 +142,12 @@ struct MappingResult {
                                     ///< outside the determinism guarantee. How the
                                     ///< time was spent is in the trace spans and the
                                     ///< metrics registry (docs/observability.md)
-  int instances_solved = 0;         ///< subset instances contributing to the reduction
-                                    ///< (Sec. 4.1); once a subset proves cost 0, all
-                                    ///< later subsets are skipped — they can at best tie
-                                    ///< and lose the deterministic index tie-break
+  int instances_solved = 0;         ///< subset instances solved for the reduction
+                                    ///< (Sec. 4.1): one per isomorphism class of induced
+                                    ///< coupling graphs that no lower-index class
+                                    ///< dominates (arch::subset_classes), counted up to
+                                    ///< the first cost-0 one — later subsets can at best
+                                    ///< tie and lose the deterministic index tie-break
   int permutation_points = 0;       ///< |G'| + 1 (the paper's |G'| column counts
                                     ///< the free initial mapping too)
   std::string engine_name;

@@ -223,7 +223,16 @@ struct CdclMetrics {
 }  // namespace
 
 Outcome CdclEngine::minimize(std::chrono::milliseconds budget) {
-  obs::Span span("cdcl.minimize", "cdcl");
+  return run("cdcl.minimize", budget, &CdclEngine::bisect);
+}
+
+Outcome CdclEngine::find_model(std::chrono::milliseconds budget) {
+  return run("cdcl.find_model", budget, &CdclEngine::first_model);
+}
+
+Outcome CdclEngine::run(const char* span_name, std::chrono::milliseconds budget,
+                        Outcome (CdclEngine::*body)(Checkpoints&)) {
+  obs::Span span(span_name, "cdcl");
   const sat::SolverStats before = solver_.stats();
   const long long polls_before = stats_.bound_polls;
   const long long tightenings_before = stats_.bound_tightenings;
@@ -237,7 +246,7 @@ Outcome CdclEngine::minimize(std::chrono::milliseconds budget) {
   solver_.simplify();
   Checkpoints cp{deadline, obs::TraceRecorder::enabled(), solver_.stats().restarts,
                  solver_.stats().learnt_deleted};
-  const Outcome out = bisect(cp);
+  const Outcome out = (this->*body)(cp);
   const sat::SolverStats& ss = solver_.stats();
   CdclMetrics& metrics = CdclMetrics::get();
   metrics.conflicts.inc(ss.conflicts - before.conflicts);
@@ -299,15 +308,8 @@ std::optional<sat::SolveResult> CdclEngine::solve_checked(Checkpoints& cp,
   return r;
 }
 
-Outcome CdclEngine::bisect(Checkpoints& cp) {
-  // Every probe runs on solver_ with the speculative bound asserted as an
-  // *assumption* on a GTE output, never as a clause — the clause database
-  // only ever receives monotone facts (model costs, external bounds), so
-  // learnt clauses, phases and activities survive probes in both
-  // directions. A tighter bound published mid-probe aborts the probe and
-  // shrinks the search window before the next one.
+Outcome CdclEngine::first_model(Checkpoints& cp) {
   Outcome out;
-  // First solve under whatever is enforced so far, to obtain an upper bound.
   for (;;) {
     const std::optional<sat::SolveResult> first = solve_checked(cp);
     if (!first) continue;
@@ -319,16 +321,29 @@ Outcome CdclEngine::bisect(Checkpoints& cp) {
     break;
   }
   snapshot_model();
-  long long hi = model_cost();
-  if (hi == 0) {
-    out.status = Status::Optimal;
-    out.cost = 0;
-    return out;
-  }
+  out.cost = model_cost();
+  out.status = out.cost == 0 ? Status::Optimal : Status::Feasible;
+  return out;
+}
+
+Outcome CdclEngine::bisect(Checkpoints& cp) {
+  // Every probe runs on solver_ with the speculative bound asserted as an
+  // *assumption* on a GTE output, never as a clause — the clause database
+  // only ever receives monotone facts (model costs, external bounds), so
+  // learnt clauses, phases and activities survive probes in both
+  // directions. A tighter bound published mid-probe aborts the probe and
+  // shrinks the search window before the next one.
+  //
+  // The first model gives the upper bound (or ends the search: Unsat,
+  // Unknown, or a cost-0 Optimal).
+  const Outcome first = first_model(cp);
+  if (first.status != Status::Feasible) return first;
+  long long hi = first.cost;
   // Commit the model's cost permanently (monotone: the optimum is <= hi)
   // and clamp the GTE here on its first construction.
   add_cost_bound(hi);
 
+  Outcome out;
   long long lo = 0;
   for (;;) {
     // Between-probe checkpoint: adopt bounds published while the previous

@@ -50,6 +50,9 @@ class CdclEngine final : public ReasoningEngine {
   /// search starts below an externally known model cost.
   void set_upper_bound(long long bound) override;
   Outcome minimize(std::chrono::milliseconds budget) override;
+  /// The first solve of minimize() alone: one model at or below every
+  /// bound enforced so far, with no probes after it.
+  Outcome find_model(std::chrono::milliseconds budget) override;
   [[nodiscard]] bool value(int var) const override;
   [[nodiscard]] std::string name() const override { return "cdcl"; }
 
@@ -109,9 +112,16 @@ class CdclEngine final : public ReasoningEngine {
   /// enforced and the caller re-solves.
   std::optional<sat::SolveResult> solve_checked(Checkpoints& cp,
                                                 const std::vector<sat::Lit>& assumptions = {});
-  /// The binary search itself; minimize() wraps it with preprocessing,
-  /// tracing and metrics.
+  /// The first solve under everything enforced so far: Unsat, Unknown (via
+  /// budget_outcome), or the model snapshotted and reported Feasible at its
+  /// cost (Optimal at cost 0).
+  Outcome first_model(Checkpoints& cp);
+  /// The binary search itself, starting from first_model().
   Outcome bisect(Checkpoints& cp);
+  /// Runs `body` (first_model or bisect) with the preprocessing, tracing
+  /// and metrics minimize() and find_model() share.
+  Outcome run(const char* span_name, std::chrono::milliseconds budget,
+              Outcome (CdclEngine::*body)(Checkpoints&));
 
   /// Engine-level state captured by mark_prefix (the sat::Solver itself is
   /// copyable by design — contiguous arena + plain vectors).

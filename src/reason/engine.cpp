@@ -34,6 +34,8 @@ void ReasoningEngine::add_at_most_one(const std::vector<int>& lits) {
 
 void ReasoningEngine::set_upper_bound(long long /*bound*/) {}
 
+Outcome ReasoningEngine::find_model(std::chrono::milliseconds budget) { return minimize(budget); }
+
 bool ReasoningEngine::mark_prefix() { return false; }
 
 bool ReasoningEngine::reset_to_prefix() { return false; }

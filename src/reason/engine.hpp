@@ -117,6 +117,15 @@ class ReasoningEngine {
   /// Minimizes the objective subject to the clauses within `budget`.
   virtual Outcome minimize(std::chrono::milliseconds budget) = 0;
 
+  /// Finds one model under every bound set so far, without minimizing: the
+  /// backend stops at the first model it reaches. Feasible with that
+  /// model's cost (Optimal when the cost is 0), Unsat when no model exists
+  /// at or below the bound, Unknown when the budget expires first. The
+  /// model is a function of the formula and the bound alone. Used where a
+  /// model of a known optimal cost C* is wanted under set_upper_bound(C*),
+  /// so nothing has to be proven again. The base implementation minimizes.
+  virtual Outcome find_model(std::chrono::milliseconds budget);
+
   /// Value of `var` in the best model found (valid after Optimal/Feasible).
   [[nodiscard]] virtual bool value(int var) const = 0;
 

@@ -45,6 +45,15 @@ struct Z3Engine::Impl {
     }
     opt.add(z3::pble(es, coeffs.data(), static_cast<int>(bound)));
   }
+
+  /// Stores every variable's value in `m` as the current model.
+  void take_model(const z3::model& m) {
+    model_values.assign(vars.size(), false);
+    for (std::size_t i = 0; i < vars.size(); ++i) {
+      model_values[i] = m.eval(vars[i], /*model_completion=*/true).is_true();
+    }
+    has_model = true;
+  }
 };
 
 Z3Engine::Z3Engine() : impl_(std::make_unique<Impl>()) {}
@@ -180,13 +189,8 @@ Outcome Z3Engine::minimize(std::chrono::milliseconds budget) {
     }
     // sat: Z3's optimize has proven the soft-constraint optimum (subject to
     // the asserted PB bounds, so the model respects the tightest bound).
-    const z3::model m = impl_->opt.get_model();
-    impl_->model_values.assign(impl_->vars.size(), false);
+    impl_->take_model(impl_->opt.get_model());
     long long cost = 0;
-    for (std::size_t i = 0; i < impl_->vars.size(); ++i) {
-      const z3::expr v = m.eval(impl_->vars[i], /*model_completion=*/true);
-      impl_->model_values[i] = v.is_true();
-    }
     // Objective value: sum of weights of soft constraints violated. Z3
     // exposes it per objective; report Z3's first objective when present —
     // the caller recomputes the domain cost anyway.
@@ -194,13 +198,36 @@ Outcome Z3Engine::minimize(std::chrono::milliseconds budget) {
       const z3::expr obj = impl_->opt.lower(0);
       if (obj.is_numeral()) cost = obj.get_numeral_int64();
     }
-    impl_->has_model = true;
     out.status = Status::Optimal;
     out.cost = cost;
     span.attr("status", to_string(out.status));
     span.attr("cost", cost);
     return out;
   }
+}
+
+Outcome Z3Engine::find_model(std::chrono::milliseconds budget) {
+  obs::Span span("z3.find_model", "z3");
+  span.attr("budget_ms", static_cast<long long>(budget.count()));
+  // The optimize context's assertions are the hard clauses plus every PB
+  // bound apply_bound added; the soft terms live apart as its objective.
+  z3::solver solver(impl_->ctx);
+  solver.add(impl_->opt.assertions());
+  solver.set("timeout", static_cast<unsigned>(std::max<long long>(1, budget.count())));
+  Outcome out;
+  const z3::check_result r = solver.check();
+  if (r == z3::sat) {
+    impl_->take_model(solver.get_model());
+    for (const auto& [var, weight] : impl_->cost_terms) {
+      if (impl_->model_values[static_cast<std::size_t>(var)]) out.cost += weight;
+    }
+    out.status = out.cost == 0 ? Status::Optimal : Status::Feasible;
+  } else {
+    out.status = r == z3::unsat ? Status::Unsat : Status::Unknown;
+  }
+  span.attr("status", to_string(out.status));
+  span.attr("cost", out.cost);
+  return out;
 }
 
 bool Z3Engine::value(int var) const {

@@ -45,6 +45,9 @@ class Z3Engine final : public ReasoningEngine {
   /// Asserts the hard PB constraint `objective <= bound` (inclusive).
   void set_upper_bound(long long bound) override;
   Outcome minimize(std::chrono::milliseconds budget) override;
+  /// One plain z3::solver check of the hard clauses and the asserted PB
+  /// bounds, with the soft terms left out; polls no bound source.
+  Outcome find_model(std::chrono::milliseconds budget) override;
   [[nodiscard]] bool value(int var) const override;
   [[nodiscard]] std::string name() const override { return "z3"; }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "arch/architectures.hpp"
 
 namespace qxmap {
@@ -28,6 +30,29 @@ TEST(CouplingMap, DirectedQueries) {
   EXPECT_TRUE(cm.coupled(0, 1));
   EXPECT_TRUE(cm.coupled(1, 0));
   EXPECT_FALSE(cm.coupled(0, 3));
+}
+
+TEST(CouplingMap, QueriesMatchTheEdgeListsAndRejectOddArguments) {
+  // allows/coupled read the per-qubit lists; every answer must equal a
+  // search of the global sorted edge lists, and equal or out-of-range
+  // arguments answer false without throwing.
+  for (const auto& cm : {arch::ibm_qx4(), arch::ibm_qx5(), arch::ibm_tokyo()}) {
+    const int m = cm.num_physical();
+    for (int a = -1; a <= m; ++a) {
+      for (int b = -1; b <= m; ++b) {
+        const bool directed = std::binary_search(cm.edges().begin(), cm.edges().end(),
+                                                 std::make_pair(a, b));
+        const bool undirected =
+            std::binary_search(cm.undirected_edges().begin(), cm.undirected_edges().end(),
+                               std::make_pair(std::min(a, b), std::max(a, b)));
+        EXPECT_EQ(cm.allows(a, b), directed) << cm.name() << ' ' << a << '>' << b;
+        EXPECT_EQ(cm.coupled(a, b), undirected) << cm.name() << ' ' << a << '-' << b;
+      }
+    }
+    EXPECT_FALSE(cm.allows(0, 0));
+    EXPECT_FALSE(cm.coupled(-1, 0));
+    EXPECT_FALSE(cm.allows(m, 0));
+  }
 }
 
 TEST(CouplingMap, UndirectedEdgesSortedAndDeduped) {

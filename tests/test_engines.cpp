@@ -78,6 +78,44 @@ TEST_P(EngineTest, ExactlyOneChoosesMinimumWeight) {
   EXPECT_TRUE(e->value(vars[2]));  // weight 4
 }
 
+TEST_P(EngineTest, FindModelReturnsOneModelUnderTheBound) {
+  // find_model stops at the first model at or below the bound: its cost is
+  // the chosen variable's weight, never above the bound; a bound below
+  // every model is Unsat; a model of cost 0 is Optimal.
+  const long long weights[] = {7, 14, 4, 21, 28};
+  for (const long long bound : {28LL, 14LL, 4LL, 3LL}) {
+    auto e = make_engine(GetParam());
+    std::vector<int> vars;
+    std::vector<int> lits;
+    for (int i = 0; i < 5; ++i) {
+      vars.push_back(e->new_bool());
+      lits.push_back(vars.back() + 1);
+    }
+    e->add_exactly_one(lits);
+    for (int i = 0; i < 5; ++i) e->add_cost(vars[static_cast<std::size_t>(i)], weights[i]);
+    e->set_upper_bound(bound);
+    const auto out = e->find_model(kBudget);
+    if (bound < 4) {
+      EXPECT_EQ(out.status, Status::Unsat) << bound;
+      continue;
+    }
+    ASSERT_EQ(out.status, Status::Feasible) << bound;
+    EXPECT_LE(out.cost, bound);
+    long long chosen = 0;
+    for (int i = 0; i < 5; ++i) {
+      if (e->value(vars[static_cast<std::size_t>(i)])) chosen += weights[i];
+    }
+    EXPECT_EQ(chosen, out.cost) << bound;
+  }
+  auto free_run = make_engine(GetParam());
+  const int a = free_run->new_bool();
+  free_run->add_clause({a + 1});
+  const auto out = free_run->find_model(kBudget);
+  EXPECT_EQ(out.status, Status::Optimal);
+  EXPECT_EQ(out.cost, 0);
+  EXPECT_TRUE(free_run->value(a));
+}
+
 TEST_P(EngineTest, BoundCountersReachTheRegistry) {
   // The qxmap_engine_bound_* counters are the only per-request record of
   // the bound protocol, so every engine publishes what its stats() count.

@@ -2,14 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <optional>
 #include <string>
 
 #include "arch/architectures.hpp"
+#include "arch/subsets.hpp"
 #include "arch/swap_costs.hpp"
 #include "bench_circuits/generators.hpp"
 #include "bench_circuits/table1_suite.hpp"
 #include "exact/reference_search.hpp"
+#include "exact/router.hpp"
+#include "exact/strategies.hpp"
 #include "exact/swap_synthesis.hpp"
 
 namespace qxmap {
@@ -78,9 +83,9 @@ TEST_P(ExactMapperTest, SubsetModePreservesMinimalityOnSmallCases) {
     ASSERT_EQ(res.status, Status::Optimal);
     // Sec. 4.1: still minimal on all evaluated cases.
     EXPECT_EQ(res.cost_f, certified_minimum(c)) << "seed " << seed;
-    // A zero-cost subset short-circuits the remaining instances (nothing can
-    // beat the objective's lower bound); otherwise every subset is solved.
-    EXPECT_GE(res.instances_solved, res.cost_f == 0 ? 1 : 2);
+    // Of QX4's six 3-subsets only the triangle {0,1,2} can win: the five
+    // 2-edge paths embed into it (arch::subset_classes).
+    EXPECT_EQ(res.instances_solved, 1);
     EXPECT_TRUE(res.verified) << res.verify_message;
   }
 }
@@ -178,6 +183,27 @@ TEST(ExactMapper, WarmStartFallbackGetsTheStatevectorCheck) {
   EXPECT_NE(res.verify_message.find(kStatevectorOk), std::string::npos) << res.verify_message;
 }
 
+TEST(ExactMapper, NoWarmStartForALoneProperSubset) {
+  // Qubit 0 is isolated, so {1,2,3} is the one connected 3-subset. The
+  // greedy warm start walks from the identity layout on the whole map,
+  // where logical 0 sits on the isolated qubit and no path exists; the SAT
+  // engines must solve the subset like the Dp engine does instead.
+  const arch::CouplingMap cm(4, {{1, 2}, {2, 3}}, "isolated-0");
+  Circuit c(3, "triangle");
+  c.cnot(0, 1);
+  c.cnot(1, 2);
+  c.cnot(0, 2);
+  c.cnot(2, 0);
+  for (const EngineKind kind : {EngineKind::Cdcl, EngineKind::Dp}) {
+    auto opt = fast_options(kind);
+    opt.use_subsets = true;
+    const auto res = map_exact(c, cm, opt);
+    ASSERT_EQ(res.status, Status::Optimal) << reason::to_string(kind);
+    EXPECT_EQ(res.cost_f, 11) << reason::to_string(kind);
+    EXPECT_TRUE(res.verified) << res.verify_message;
+  }
+}
+
 TEST(ExactMapper, MeasureAndBarrierSurvive) {
   Circuit c(2, "meas");
   c.h(0);
@@ -258,6 +284,147 @@ TEST(ExactMapper, BidirectedArchitectureUsesCheapSwaps) {
   EXPECT_EQ(res.cnots_reversed, 0);
   EXPECT_EQ(res.cost_f, 0);  // a triangle exists on Tokyo
   EXPECT_TRUE(exact::satisfies_coupling(res.mapped, arch::ibm_tokyo()));
+}
+
+// --- The class reduction against the full Sec. 4.1 sweep -------------------
+
+/// Solves every connected n-subset with search_layouts and keeps the lowest
+/// (cost, index): the sweep map_exact ran before it solved one subset per
+/// undominated isomorphism class. `winner` is empty when no subset has a
+/// route.
+struct FullSweep {
+  std::vector<std::vector<int>> subsets;
+  std::optional<std::size_t> winner;
+  exact::LayoutRoute route;
+};
+
+FullSweep full_sweep(const Circuit& c, const arch::CouplingMap& cm,
+                     const exact::CostModel& costs, PermutationStrategy strategy) {
+  std::vector<Gate> cnots;
+  for (const auto& g : c) {
+    if (g.is_cnot()) cnots.push_back(g);
+  }
+  const auto points = exact::permutation_points(cnots, strategy, cm);
+  FullSweep sweep;
+  sweep.subsets = arch::connected_subsets(cm, c.num_qubits());
+  for (std::size_t i = 0; i < sweep.subsets.size(); ++i) {
+    exact::LayoutRoute route = exact::search_layouts(cnots, c.num_qubits(),
+                                                     cm.induced(sweep.subsets[i]), points, costs);
+    if (route.status != Status::Optimal) continue;
+    if (!sweep.winner || route.cost < sweep.route.cost) {
+      sweep.winner = i;
+      sweep.route = std::move(route);
+    }
+  }
+  return sweep;
+}
+
+/// The sweep winner's route replayed on the whole architecture.
+MappingResult lift_winner(const Circuit& c, const arch::CouplingMap& cm,
+                          const exact::CostModel& costs, const FullSweep& sweep) {
+  const std::vector<int>& subset = sweep.subsets[*sweep.winner];
+  std::vector<int> layout;
+  for (const int local : sweep.route.initial) {
+    layout.push_back(subset[static_cast<std::size_t>(local)]);
+  }
+  exact::Router router(c, cm, std::move(layout));
+  std::size_t k = 0;
+  for (const auto& g : c) {
+    if (g.is_cnot()) {
+      for (const auto& [a, b] : sweep.route.swaps[k]) {
+        router.swap(subset[static_cast<std::size_t>(a)], subset[static_cast<std::size_t>(b)]);
+      }
+      ++k;
+    }
+    router.emit(g);
+  }
+  return std::move(router).finish(MappingResult{}, costs, /*verify=*/false,
+                                  exact::Router::Clock::now());
+}
+
+/// map_exact (Dp, subsets, one thread) against the full sweep: same status,
+/// cost and winning subset, and a bit-identical mapped circuit.
+void expect_sweep_result(const Circuit& c, const arch::CouplingMap& cm,
+                         exact::CostObjective objective, PermutationStrategy strategy,
+                         const std::string& what) {
+  ExactOptions opt = fast_options(EngineKind::Dp);
+  opt.use_subsets = true;
+  opt.strategy = strategy;
+  opt.costs.objective = objective;
+  opt.num_threads = 1;
+  const exact::CostModel costs = opt.costs.resolved(cm);
+  const FullSweep sweep = full_sweep(c, cm, costs, strategy);
+  const MappingResult res = map_exact(c, cm, opt);
+  if (!sweep.winner) {
+    EXPECT_EQ(res.status, Status::Unsat) << what;
+    return;
+  }
+  ASSERT_EQ(res.status, Status::Optimal) << what;
+  EXPECT_EQ(res.objective_cost, sweep.route.cost) << what;
+  std::vector<int> used = res.initial_layout;
+  std::sort(used.begin(), used.end());
+  EXPECT_EQ(used, sweep.subsets[*sweep.winner]) << what;
+  const MappingResult expected = lift_winner(c, cm, costs, sweep);
+  EXPECT_EQ(res.mapped, expected.mapped) << what;
+  EXPECT_EQ(res.initial_layout, expected.initial_layout) << what;
+  EXPECT_EQ(res.final_layout, expected.final_layout) << what;
+}
+
+TEST(SubsetClassReduction, DpResultsEqualTheFullSweep) {
+  // Every built-in architecture plus three synthetic ones, at n = 3…6
+  // wherever n < m and the subset count stays small; both objectives, all
+  // four Sec. 4.2 strategies (the triangle one only where a triangle
+  // exists), two random circuits each.
+  const std::vector<arch::CouplingMap> archs{
+      arch::ibm_qx2(),   arch::ibm_qx4(),   arch::ibm_qx5(),    arch::ibm_tokyo(),
+      arch::ibm_hex27(), arch::ibm_hex65(), arch::ibm_hex127(), arch::ring(6),
+      arch::grid(2, 3),  arch::linear(6)};
+  int cases = 0;
+  for (const auto& cm : archs) {
+    for (int n = 3; n <= 6 && n < cm.num_physical(); ++n) {
+      if (arch::connected_subsets(cm, n).size() > 300) continue;
+      for (const auto objective :
+           {exact::CostObjective::GateCount, exact::CostObjective::ErrorWeighted}) {
+        for (const auto strategy :
+             {PermutationStrategy::All, PermutationStrategy::DisjointQubits,
+              PermutationStrategy::OddGates, PermutationStrategy::QubitTriangle}) {
+          if (strategy == PermutationStrategy::QubitTriangle && !cm.has_triangle()) continue;
+          for (const std::uint64_t seed : {1, 2}) {
+            const Circuit c = bench::random_circuit(n, 2, 5, seed, "reduction");
+            expect_sweep_result(c, cm, objective, strategy,
+                                cm.name() + " n=" + std::to_string(n) + " " +
+                                    exact::to_string(objective) + " " +
+                                    exact::to_string(strategy) + " seed " +
+                                    std::to_string(seed));
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 360);  // the coverage above, so no case drops out unnoticed
+}
+
+TEST(SubsetClassReduction, CdclStatusAndCostEqualTheFullSweep) {
+  for (const auto& cm : {arch::ibm_qx4(), arch::ibm_qx5()}) {
+    for (const int n : {3, 4}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        const Circuit c = bench::random_circuit(n, 2, 5, seed, "reduction");
+        ExactOptions opt = fast_options(EngineKind::Cdcl);
+        opt.use_subsets = true;
+        opt.num_threads = 1;
+        const std::string what = cm.name() + " n=" + std::to_string(n) + " seed " +
+                                 std::to_string(seed);
+        const FullSweep sweep =
+            full_sweep(c, cm, opt.costs.resolved(cm), PermutationStrategy::All);
+        ASSERT_TRUE(sweep.winner) << what;
+        const MappingResult res = map_exact(c, cm, opt);
+        EXPECT_EQ(res.status, Status::Optimal) << what;
+        EXPECT_EQ(res.objective_cost, sweep.route.cost) << what;
+        EXPECT_TRUE(res.verified) << what << ": " << res.verify_message;
+      }
+    }
+  }
 }
 
 }  // namespace
