@@ -1,8 +1,9 @@
-/// Shared "meta" header for bench JSON artifacts (BENCH_table1.json,
-/// bench_su4 --json): records the environment a baseline was produced
-/// under — the thread count its solves ran at, whether the Z3 backend was
-/// compiled in, build type, and the solver budget — so a regenerated file
-/// carries enough context to interpret wall-time drift. Purely
+/// What the bench CLIs share: their largest accepted budget, and the "meta"
+/// header for bench JSON artifacts (BENCH_table1.json, bench_su4 --json).
+/// The header records the environment a baseline was produced under — the
+/// thread count its solves ran at, whether the Z3 backend was compiled in,
+/// build type, and the solver budget — so a regenerated file carries
+/// enough context to interpret wall-time drift. Purely
 /// informational: consumers that scan for top-level fields must keep those
 /// fields *before* the meta object (bench/sat_smoke_main.cpp's scanner
 /// finds the first textual occurrence of a key).
@@ -16,6 +17,10 @@
 #include "reason/engine.hpp"
 
 namespace qxmap::bench {
+
+/// Largest per-solve budget the CLIs accept (~11.6 days), so the solver
+/// deadline stays far inside the clock's range.
+inline constexpr long long kMaxBudgetMs = 1'000'000'000;
 
 #ifdef NDEBUG
 inline constexpr const char* kBuildType = "release";

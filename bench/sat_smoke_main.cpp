@@ -22,8 +22,8 @@
 ///                   below its recorded best, so the baseline's open rows
 ///                   are checked too
 ///
-/// Unlike the bench_* suites this is a plain CLI (no Google-Benchmark
-/// dependency) so the quick CI gate can run it from the test build.
+/// An unknown argument, a numeric value that is not a whole number in
+/// range, or an unreadable baseline exits 2.
 
 #include <chrono>
 #include <fstream>
@@ -35,6 +35,8 @@
 
 #include "arch/architectures.hpp"
 #include "bench_circuits/table1_suite.hpp"
+#include "bench_meta.hpp"
+#include "common/strings.hpp"
 #include "exact/exact_mapper.hpp"
 #include "reason/engine.hpp"
 
@@ -80,7 +82,9 @@ Baseline load_baseline(const std::string& path) {
 
   Baseline b;
   const std::string budget = field(text, "budget_ms");
-  if (!budget.empty()) b.budget_ms = std::stoll(budget);
+  if (!budget.empty()) {
+    b.budget_ms = parse_number<long long>(budget, "budget_ms", 1, bench::kMaxBudgetMs);
+  }
 
   // Row objects all live inside the "rows" array; scan its {...} groups.
   std::size_t pos = text.find("\"rows\"");
@@ -92,7 +96,7 @@ Baseline load_baseline(const std::string& path) {
     BaselineRow row;
     row.circuit = field(obj, "circuit");
     const std::string cost = field(obj, "cost");
-    if (!cost.empty()) row.cost = std::stoll(cost);
+    if (!cost.empty()) row.cost = parse_number<long long>(cost, "cost", -1);
     row.proven = field(obj, "proven") == "true";
     if (!row.circuit.empty()) b.rows.push_back(std::move(row));
     pos = close + 1;
@@ -112,7 +116,12 @@ int main(int argc, char** argv) {
     if (arg == "--baseline" && i + 1 < argc) {
       baseline_path = argv[++i];
     } else if (arg == "--budget-ms" && i + 1 < argc) {
-      budget_ms = std::stoll(argv[++i]);
+      try {
+        budget_ms = parse_number<long long>(argv[++i], arg, 1, bench::kMaxBudgetMs);
+      } catch (const std::invalid_argument& e) {
+        std::cerr << "bench_sat_smoke: " << e.what() << '\n';
+        return 2;
+      }
     } else if (arg == "--engine" && i + 1 < argc) {
       try {
         engine = reason::engine_kind(argv[++i]);

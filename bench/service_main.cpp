@@ -20,19 +20,22 @@
 ///   --min-speedup X cold/warm median ratio the smoke mode requires
 ///                   (default 10; the acceptance floor of the service PR)
 ///
-/// Like bench_sat_smoke this is a plain CLI — no Google Benchmark
-/// dependency — so the test build can register it in the quick gate.
+/// An unknown argument, or a numeric value that is not a whole number in
+/// range, exits 2.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "api/service.hpp"
 #include "arch/architectures.hpp"
 #include "bench_circuits/table1_suite.hpp"
+#include "bench_meta.hpp"
+#include "common/strings.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -67,21 +70,21 @@ Args parse_args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> std::string {
-      if (i + 1 >= argc) throw std::runtime_error("bench_service: missing value for " + arg);
+      if (i + 1 >= argc) throw std::invalid_argument("missing value for " + arg);
       return argv[++i];
     };
     if (arg == "--smoke") {
       a.smoke = true;
     } else if (arg == "--rows") {
-      a.rows = std::stoi(next());
+      a.rows = parse_number<int>(next(), arg, 1);
     } else if (arg == "--repeat") {
-      a.repeat = std::stoi(next());
+      a.repeat = parse_number<int>(next(), arg, 1);
     } else if (arg == "--budget-ms") {
-      a.budget_ms = std::stoll(next());
+      a.budget_ms = parse_number<long long>(next(), arg, 1, bench::kMaxBudgetMs);
     } else if (arg == "--min-speedup") {
-      a.min_speedup = std::stod(next());
+      a.min_speedup = parse_number<double>(next(), arg, 0.0);
     } else {
-      throw std::runtime_error("bench_service: unknown argument: " + arg);
+      throw std::invalid_argument("unknown argument: " + arg);
     }
   }
   return a;
@@ -90,8 +93,14 @@ Args parse_args(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  Args args;
   try {
-    const Args args = parse_args(argc, argv);
+    args = parse_args(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "bench_service: " << e.what() << "\n";
+    return 2;
+  }
+  try {
 
     // The smallest rows by symbolic-instance size (qubits, then CNOTs):
     // service traffic is dominated by small repeated requests, and the

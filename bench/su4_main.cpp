@@ -32,8 +32,7 @@
 ///                 meta header (bench/bench_meta.hpp: threads, Z3 on/off,
 ///                 build type, budget)
 ///
-/// Like bench_sat_smoke this is a plain CLI — no Google Benchmark
-/// dependency — so the test build can register it in the quick gate.
+/// A numeric value that is not a whole number in range exits 2.
 
 #include <chrono>
 #include <cstdint>
@@ -82,17 +81,17 @@ Args parse_args(int argc, char** argv) {
     } else if (arg == "--sweep") {
       a.sweep = true;
     } else if (arg == "--exact") {
-      a.exact = std::stoi(next());
+      a.exact = parse_number<int>(next(), arg, 1);
     } else if (arg == "--cnots") {
-      a.cnots = std::stoi(next());
+      a.cnots = parse_number<int>(next(), arg, 0);
     } else if (arg == "--arch") {
       a.arch = next();
     } else if (arg == "--layers") {
-      a.layers = std::stoi(next());
+      a.layers = parse_number<int>(next(), arg, 1);
     } else if (arg == "--seed") {
-      a.seed = static_cast<std::uint64_t>(std::stoull(next()));
+      a.seed = parse_number<std::uint64_t>(next(), arg);
     } else if (arg == "--budget-ms") {
-      a.budget_ms = std::stoll(next());
+      a.budget_ms = parse_number<long long>(next(), arg, 1, bench::kMaxBudgetMs);
     } else if (arg == "--json") {
       a.json_path = next();
     } else {

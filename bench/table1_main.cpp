@@ -76,11 +76,11 @@ Config parse_args(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--budget-ms") {
-      cfg.budget_ms = std::stoll(next());
+      cfg.budget_ms = parse_number<long long>(next(), arg, 1, bench::kMaxBudgetMs);
     } else if (arg == "--engine") {
       cfg.engine = reason::engine_kind(next());
     } else if (arg == "--max-cnots") {
-      cfg.max_cnots = std::stoi(next());
+      cfg.max_cnots = parse_number<int>(next(), arg, 0);
     } else if (arg == "--benchmark") {
       cfg.only = next();
     } else if (arg == "--skip-min") {
@@ -105,9 +105,13 @@ struct Cell {
 std::string fmt_cell(const Cell& cell, long long certified_cmin) {
   if (cell.c < 0) return "      --      ";
   std::string s = std::to_string(cell.c);
-  s += " (+" + std::to_string(cell.c - certified_cmin) + ")";
+  s += " (+";
+  s += std::to_string(cell.c - certified_cmin);
+  s += ')';
   if (!cell.proven) s += '*';
-  s += " " + format_fixed(cell.seconds, 1) + "s";
+  s += ' ';
+  s += format_fixed(cell.seconds, 1);
+  s += 's';
   return s;
 }
 

@@ -1,7 +1,11 @@
 #include "common/strings.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
+#include <sstream>
+#include <stdexcept>
 
 namespace qxmap {
 
@@ -63,5 +67,24 @@ std::string pad_right(std::string_view s, std::size_t width) {
   if (out.size() < width) out += std::string(width - out.size(), ' ');
   return out;
 }
+
+template <typename T>
+T parse_number(std::string_view text, std::string_view what, T lo, T hi) {
+  T value{};
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc{} || end != last || !(value >= lo && value <= hi)) {
+    std::ostringstream msg;
+    msg << what << ": '" << text << "' is not a number in [" << lo << ", " << hi << "]";
+    throw std::invalid_argument(msg.str());
+  }
+  return value;
+}
+
+template int parse_number(std::string_view, std::string_view, int, int);
+template long long parse_number(std::string_view, std::string_view, long long, long long);
+template std::uint64_t parse_number(std::string_view, std::string_view, std::uint64_t,
+                                    std::uint64_t);
+template double parse_number(std::string_view, std::string_view, double, double);
 
 }  // namespace qxmap

@@ -4,6 +4,7 @@
 
 #pragma once
 
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,5 +31,15 @@ namespace qxmap {
 
 /// Right-pads `s` with spaces to at least `width` characters.
 [[nodiscard]] std::string pad_right(std::string_view s, std::size_t width);
+
+/// Reads all of `text` as one base-10 number in [lo, hi] (std::from_chars).
+/// Unlike std::stoi and friends it rejects trailing characters ("3s"),
+/// leading whitespace or '+', a '-' for an unsigned T, and values T cannot
+/// hold; NaN is never in range. Throws std::invalid_argument naming `what`.
+/// Instantiated for int, long long, std::uint64_t and double.
+template <typename T>
+[[nodiscard]] T parse_number(std::string_view text, std::string_view what,
+                             T lo = std::numeric_limits<T>::lowest(),
+                             T hi = std::numeric_limits<T>::max());
 
 }  // namespace qxmap

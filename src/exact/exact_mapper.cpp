@@ -330,6 +330,8 @@ MappingResult map_exact(const Circuit& circuit, const arch::CouplingMap& cm,
       } else {
         enc.emplace(engine, cnots, n, induced, *out.table, points, costs);
       }
+      span.attr("vars", enc->num_variables());
+      span.attr("clauses", enc->num_clauses());
     }
     const long long bound = shared_bound.load(std::memory_order_acquire);
     if (bound != kNone) engine.set_upper_bound(bound);

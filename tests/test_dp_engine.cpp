@@ -1,23 +1,29 @@
 /// The exact mapper's default engine, EngineKind::Dp: the layout DP of
 /// exact/reference_search.hpp run through map_exact. Optimality on the
 /// Table-1 rows the SAT budget leaves open, the deadline contract, the
-/// per-instance spans, and the route the DP emits.
+/// per-instance spans, and the route the DP emits. Next to the Dp spans,
+/// the formula size the SAT path's encode span reports.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "arch/architectures.hpp"
+#include "arch/swap_costs.hpp"
 #include "bench_circuits/generators.hpp"
 #include "bench_circuits/table1_suite.hpp"
+#include "exact/encoder.hpp"
 #include "exact/exact_mapper.hpp"
 #include "exact/reference_search.hpp"
+#include "exact/strategies.hpp"
 #include "exact/swap_synthesis.hpp"
 #include "metric_delta.hpp"
 #include "obs/trace.hpp"
+#include "reason/cdcl_engine.hpp"
 
 namespace qxmap {
 namespace {
@@ -166,6 +172,49 @@ TEST(DpEngine, EmitsOneSolveSpanPerInstanceAndNoSatPhases) {
                                "exact.shard", "exact.canonical_resolve"}) {
     EXPECT_FALSE(names.contains(sat_only)) << sat_only;
   }
+}
+
+TEST(ExactSpans, EncodeSpanCarriesTheFormulaSize) {
+  // A traced CDCL run of one Table-1 row on the whole of QX4: its one
+  // exact.encode span reports the variables and clauses of the formula it
+  // built, which are those of an Encoding built directly from the same
+  // inputs.
+  const auto cm = arch::ibm_qx4();
+  const Circuit circuit = bench::table1_benchmark("4gt11_82").build();
+  ExactOptions opt;
+  opt.engine = EngineKind::Cdcl;
+  opt.num_threads = 1;
+  opt.budget = std::chrono::milliseconds(60000);
+  auto& recorder = obs::TraceRecorder::instance();
+  const bool was_enabled = obs::TraceRecorder::enabled();
+  obs::TraceRecorder::set_enabled(true);
+  recorder.clear();
+  const auto res = map_exact(circuit, cm, opt);
+  const auto events = recorder.snapshot();
+  obs::TraceRecorder::set_enabled(was_enabled);
+  recorder.clear();
+  ASSERT_EQ(res.status, Status::Optimal);
+
+  std::vector<Gate> cnots;
+  for (const auto& g : circuit) {
+    if (g.is_cnot()) cnots.push_back(g);
+  }
+  const arch::SwapCostTable table(cm);
+  reason::CdclEngine engine;
+  const exact::Encoding direct(engine, cnots, circuit.num_qubits(), cm, table,
+                               exact::permutation_points(cnots, opt.strategy, cm),
+                               opt.costs.resolved(cm));
+  int spans = 0;
+  for (const auto& e : events) {
+    if (e.name != "exact.encode") continue;
+    ++spans;
+    const std::map<std::string, std::string> attrs(e.attrs.begin(), e.attrs.end());
+    EXPECT_EQ(attrs.contains("vars") ? attrs.at("vars") : "",
+              std::to_string(direct.num_variables()));
+    EXPECT_EQ(attrs.contains("clauses") ? attrs.at("clauses") : "",
+              std::to_string(direct.num_clauses()));
+  }
+  EXPECT_EQ(spans, 1);
 }
 
 }  // namespace

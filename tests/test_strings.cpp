@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+
 namespace qxmap {
 namespace {
 
@@ -39,6 +43,48 @@ TEST(Strings, Padding) {
   EXPECT_EQ(pad_left("abcd", 2), "abcd");
   EXPECT_EQ(pad_right("ab", 4), "ab  ");
   EXPECT_EQ(pad_right("abcd", 2), "abcd");
+}
+
+TEST(Strings, ParseNumberReadsWholeNumbersInRange) {
+  EXPECT_EQ(parse_number<int>("8", "n"), 8);
+  EXPECT_EQ(parse_number<int>("-3", "n"), -3);
+  EXPECT_EQ(parse_number<long long>("3000", "ms", 1, 5000), 3000);
+  EXPECT_EQ(parse_number<long long>("5000", "ms", 1, 5000), 5000);
+  EXPECT_EQ(parse_number<std::uint64_t>("18446744073709551615", "seed"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_DOUBLE_EQ(parse_number<double>("2.5", "x"), 2.5);
+  EXPECT_DOUBLE_EQ(parse_number<double>("1e1", "x"), 10.0);
+}
+
+TEST(Strings, ParseNumberRejectsPartialNumbers) {
+  // std::stoi and friends read these as 3, 8 and 1.5.
+  EXPECT_THROW((void)parse_number<long long>("3s", "ms"), std::invalid_argument);
+  EXPECT_THROW((void)parse_number<int>("8x", "n"), std::invalid_argument);
+  EXPECT_THROW((void)parse_number<double>("1.5x", "x"), std::invalid_argument);
+  EXPECT_THROW((void)parse_number<int>("", "n"), std::invalid_argument);
+  EXPECT_THROW((void)parse_number<int>(" 8", "n"), std::invalid_argument);
+  EXPECT_THROW((void)parse_number<int>("8 ", "n"), std::invalid_argument);
+  EXPECT_THROW((void)parse_number<int>("+8", "n"), std::invalid_argument);
+}
+
+TEST(Strings, ParseNumberRejectsValuesOutOfRange) {
+  // std::stoull wraps "-1" to 2^64 - 1.
+  EXPECT_THROW((void)parse_number<std::uint64_t>("-1", "seed"), std::invalid_argument);
+  EXPECT_THROW((void)parse_number<int>("2147483648", "n"), std::invalid_argument);
+  EXPECT_THROW((void)parse_number<long long>("0", "ms", 1, 5000), std::invalid_argument);
+  EXPECT_THROW((void)parse_number<long long>("5001", "ms", 1, 5000), std::invalid_argument);
+  EXPECT_THROW((void)parse_number<double>("nan", "x"), std::invalid_argument);
+  EXPECT_THROW((void)parse_number<double>("inf", "x"), std::invalid_argument);
+  EXPECT_THROW((void)parse_number<double>("-0.5", "x", 0.0), std::invalid_argument);
+}
+
+TEST(Strings, ParseNumberNamesTheValueInItsMessage) {
+  try {
+    (void)parse_number<int>("5x", "--exact", 1, 8);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--exact: '5x' is not a number in [1, 8]");
+  }
 }
 
 }  // namespace
